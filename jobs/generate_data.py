@@ -7,8 +7,9 @@ from __future__ import annotations
 import argparse
 
 import os as _os, sys as _sys
-_sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
-from jobs._session import get_spark
+_ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
+_sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
+from repro.session import get_spark
 
 
 def run(spark, sf: float, out: str, n_hosts: int = 10, seed: int = 0,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 def measure_all():
     """Per-query conciseness rows + aggregate ratios for the workload."""
-    from repro.core.baseline import analyze_text, baseline_sql
+    from repro.core.baseline import baseline_sql
+    from repro.core.dependency import analyze_text
     from repro.workload.conciseness import aggregate_ratios, measure
     from repro.workload.queries import QUERIES
 

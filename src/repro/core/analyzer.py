@@ -222,7 +222,10 @@ def analyze(q: Query) -> Analysis:
                 f"event {ev.alias!r}: subjects are processes in the data "
                 f"model, got {ev.subject.etype!r}"
             )
-        ana.event_etype[ev.alias] = etype_for(ev.op, ev.object.etype)
+        try:
+            ana.event_etype[ev.alias] = etype_for(ev.op, ev.object.etype)
+        except ValueError as e:
+            raise AIQLSemanticError(f"event {ev.alias!r}: {e}") from None
         for ent, role in ((ev.subject, "subject"), (ev.object, "object")):
             if ent.var in seen_alias or ent.var in ana.event_etype:
                 raise AIQLSemanticError(

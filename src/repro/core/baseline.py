@@ -12,15 +12,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.analyzer import Analysis, analyze
-from repro.core.dependency import to_multievent
-from repro.core.parser import parse
+from repro.core.dependency import analyze_text
 from repro.core.sqlgen import equivalent_sql
-
-
-def analyze_text(text: str) -> Analysis:
-    """parse → dependency compilation → semantic analysis."""
-    return analyze(to_multievent(parse(text)))
 
 
 def baseline_sql(text: str, dialect: str = "spark", table: str = "events") -> str:

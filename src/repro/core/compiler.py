@@ -12,6 +12,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.analyzer import Analysis, OrGroup, Pred
+from repro.core.expr import SPARK_CMP
 
 
 def pred_to_column(p) -> Column:
@@ -24,16 +25,11 @@ def pred_to_column(p) -> Column:
         return out
     assert isinstance(p, Pred)
     c = F.col(p.col)
-    return {
-        "=": lambda: c == F.lit(p.value),
-        "!=": lambda: c != F.lit(p.value),
-        "<": lambda: c < F.lit(p.value),
-        "<=": lambda: c <= F.lit(p.value),
-        ">": lambda: c > F.lit(p.value),
-        ">=": lambda: c >= F.lit(p.value),
-        "like": lambda: c.like(p.value),
-        "not like": lambda: ~c.like(p.value),
-    }[p.op]()
+    if p.op == "like":
+        return c.like(p.value)
+    if p.op == "not like":
+        return ~c.like(p.value)
+    return SPARK_CMP[p.op](c, F.lit(p.value))
 
 
 def pattern_filter(preds: list) -> Column:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.ast import Query, TemporalConstraint
-from repro.core.analyzer import AIQLSemanticError
+from repro.core.analyzer import AIQLSemanticError, Analysis, analyze
+from repro.core.parser import parse
 
 
 def _vars_of(ev) -> set[str]:
@@ -53,3 +54,8 @@ def to_multievent(q: Query) -> Query:
     out.mode = "multievent"
     out.temporal = list(q.temporal) + implied
     return out
+
+
+def analyze_text(text: str) -> Analysis:
+    """The whole front end: parse → dependency compilation → analysis."""
+    return analyze(to_multievent(parse(text)))

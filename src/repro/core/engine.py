@@ -1,7 +1,8 @@
 """The AIQL query engine facade.
 
-``execute`` runs the full pipeline: parse → dependency compilation →
-semantic analysis → (multievent: per-pattern data queries + pruning-power
+``execute`` runs the full pipeline: the front end
+(``dependency.analyze_text``: parse → dependency compilation → semantic
+analysis) → (multievent: per-pattern data queries + pruning-power
 scheduling + left-deep join with measured broadcasts | anomaly: sliding
 window engine). ``plan`` exposes the scheduling decision for inspection and
 tests.
@@ -14,7 +15,7 @@ the already-materialized (usually tiny) per-pattern results — never
 re-scanning the event table the way the one-big-SQL baseline must.
 
 The engine reads either an in-memory DataFrame (``events=``, tests) or the
-partitioned store (``store=``, benchmarks/jobs) — with a store, the query's
+partitioned store (``store=``, the jobs) — with a store, the query's
 global time window and agent id prune Parquet partitions before any pattern
 scan runs (paper §2.3 insight 2).
 """
@@ -26,10 +27,9 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import anomaly as anomaly_mod
-from repro.core.analyzer import Analysis, analyze
+from repro.core.analyzer import Analysis
 from repro.core.compiler import join_multievent, pattern_df, project_return
-from repro.core.dependency import to_multievent
-from repro.core.parser import parse
+from repro.core.dependency import analyze_text
 from repro.core.scheduler import build_adjacency, order_patterns
 
 
@@ -70,7 +70,7 @@ class AIQLEngine:
     # ------------------------------------------------------------------
     def analyze(self, text: str) -> Analysis:
         """Front half of the pipeline (no execution)."""
-        return analyze(to_multievent(parse(text)))
+        return analyze_text(text)
 
     def _source(self, ana: Analysis) -> DataFrame:
         q = ana.query

@@ -7,12 +7,26 @@ agree on semantics (the correctness oracle then verifies it).
 """
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.core.ast import AttrRef, BinOp, HistRef, Literal, UnaryOp
+
+# Comparison operators on Spark ``Column`` s, shared with the per-pattern
+# filters in ``compiler``.
+SPARK_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_SPARK_BINOPS = {**SPARK_CMP, "or": operator.or_, "and": operator.and_,
+                 "+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "/": operator.truediv}
+
+# AIQL operators whose SQL spelling differs; every other operator is
+# written as is. Shared with the pattern predicates in ``sqlgen``.
+SQL_OPS = {"!=": "<>", "like": "LIKE", "not like": "NOT LIKE",
+           "or": "OR", "and": "AND"}
 
 
 # ------------------------------------------------------------------ Spark
@@ -36,20 +50,7 @@ def to_column(
     if isinstance(e, BinOp):
         l = to_column(e.left, resolve_name, resolve_hist)
         r = to_column(e.right, resolve_name, resolve_hist)
-        return {
-            "or": lambda: l | r,
-            "and": lambda: l & r,
-            "=": lambda: l == r,
-            "!=": lambda: l != r,
-            "<": lambda: l < r,
-            "<=": lambda: l <= r,
-            ">": lambda: l > r,
-            ">=": lambda: l >= r,
-            "+": lambda: l + r,
-            "-": lambda: l - r,
-            "*": lambda: l * r,
-            "/": lambda: l / r,
-        }[e.op]()
+        return _SPARK_BINOPS[e.op](l, r)
     raise ValueError(f"cannot compile expression node {e!r}")
 
 
@@ -82,6 +83,5 @@ def to_sql(
     if isinstance(e, BinOp):
         l = to_sql(e.left, resolve_name, resolve_hist)
         r = to_sql(e.right, resolve_name, resolve_hist)
-        op = {"or": "OR", "and": "AND", "=": "=", "!=": "<>"}.get(e.op, e.op)
-        return f"({l} {op} {r})"
+        return f"({l} {SQL_OPS.get(e.op, e.op)} {r})"
     raise ValueError(f"cannot render expression node {e!r}")

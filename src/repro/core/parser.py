@@ -138,19 +138,26 @@ class _Parser:
         self.expect("OP", "(")
         kw = self.expect("IDENT")
         if kw.value == "at":
-            lo = parse_time_ms(self.expect("STRING").value)
+            lo = self._time()
             lo = lo - lo % _DAY_MS  # snap to day start
             q.time_range = (lo, lo + _DAY_MS)
         elif kw.value == "from":
-            lo = parse_time_ms(self.expect("STRING").value)
+            lo = self._time()
             self.expect("IDENT", "to")
-            hi = parse_time_ms(self.expect("STRING").value)
+            hi = self._time()
             if hi <= lo:
                 self.err("empty time range")
             q.time_range = (lo, hi)
         else:
             self.err("expected 'at' or 'from'")
         self.expect("OP", ")")
+
+    def _time(self) -> int:
+        t = self.expect("STRING")
+        try:
+            return parse_time_ms(t.value)
+        except ValueError as e:
+            raise AIQLSyntaxError(str(e), self.text, t.pos) from None
 
     def _duration_ms(self) -> int:
         v = self.expect("NUMBER").value
@@ -172,6 +179,8 @@ class _Parser:
 
     # -- event patterns ------------------------------------------------
     def _entity(self) -> EntityPattern:
+        if not self.at_kw(*ENTITY_KINDS):
+            self.err(f"expected an entity type {ENTITY_KINDS}")
         etype = self.next().value
         var = self.expect("IDENT").value
         filters: list[Comparison] = []

@@ -19,17 +19,14 @@ from __future__ import annotations
 from repro.core.analyzer import Analysis, OrGroup, Pred
 from repro.core.anomaly import group_cols, window_bounds
 from repro.core.ast import AttrRef, FuncCall
-from repro.core.expr import sql_quote, to_sql
-
-_OPS = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-        "like": "LIKE", "not like": "NOT LIKE"}
+from repro.core.expr import SQL_OPS, sql_quote, to_sql
 
 
 def _pred_sql(p, prefix: str) -> str:
     if isinstance(p, OrGroup):
         return "(" + " OR ".join(_pred_sql(s, prefix) for s in p.preds) + ")"
     assert isinstance(p, Pred)
-    return f"{prefix}{p.col} {_OPS[p.op]} {sql_quote(p.value)}"
+    return f"{prefix}{p.col} {SQL_OPS.get(p.op, p.op)} {sql_quote(p.value)}"
 
 
 # ------------------------------------------------------------- multievent

@@ -1,4 +1,4 @@
-"""DuckDB correctness oracle.
+"""DuckDB correctness oracle and the one result canonicalizer.
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
@@ -16,6 +16,17 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 
+def run_duckdb(sql: str, **tables) -> pd.DataFrame:
+    """Run ``sql`` in a fresh DuckDB over ``tables`` (name → frame)."""
+    con = duckdb.connect()
+    try:
+        for name, t in tables.items():
+            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+        return con.execute(sql).fetchdf()
+    finally:
+        con.close()
+
+
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     # Canonical column order first, then row order by those columns, so
     # two results that differ only in projection order compare equal.
@@ -25,19 +36,14 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
-    con = duckdb.connect()
-    try:
-        for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
-        expected = con.execute(sql).fetchdf()
-    finally:
-        con.close()
-    got = spark_df.toPandas()
-    assert set(expected.columns) == set(got.columns), (
-        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
+def assert_same_rows(got: pd.DataFrame, want: pd.DataFrame) -> None:
+    """Same columns and the same multiset of rows, in any order."""
+    assert sorted(got.columns) == sorted(want.columns), (
+        f"column mismatch: {sorted(got.columns)} vs {sorted(want.columns)} "
         "— alias every output column identically on both sides"
     )
-    pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
-    )
+    pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
+
+
+def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+    assert_same_rows(spark_df.toPandas(), run_duckdb(sql, **tables))

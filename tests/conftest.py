@@ -7,12 +7,11 @@ Data tiers:
   (~20k events + injected attack), for integration/workload tests;
 * ``store`` — both on-disk layouts of the SF 0.001 trace.
 
-``run_duckdb`` executes oracle SQL over a pandas frame;
-``assert_same_rows`` canonicalizes and diffs two result frames.
+Result comparison (``run_duckdb``, ``assert_same_rows``) lives in
+``repro.oracle``.
 """
 from __future__ import annotations
 
-import duckdb
 import pandas as pd
 import pytest
 
@@ -102,24 +101,3 @@ def tiny_engine(spark, tiny):
     from repro.core.engine import AIQLEngine
     return AIQLEngine(spark, events=tiny)
 
-
-def run_duckdb(sql: str, **tables) -> pd.DataFrame:
-    con = duckdb.connect()
-    try:
-        for name, t in tables.items():
-            con.register(name, t)
-        return con.execute(sql).fetchdf()
-    finally:
-        con.close()
-
-
-def canon(pdf: pd.DataFrame) -> pd.DataFrame:
-    pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
-    for c in pdf.select_dtypes(include=["float", "float64"]).columns:
-        pdf[c] = pdf[c].round(6)
-    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
-
-
-def assert_same_rows(a: pd.DataFrame, b: pd.DataFrame) -> None:
-    assert sorted(a.columns) == sorted(b.columns), (a.columns, b.columns)
-    pd.testing.assert_frame_equal(canon(a), canon(b), check_dtype=False)

@@ -1,15 +1,10 @@
 """Semantic-analysis unit tests — binding, roles, predicate lowering."""
 import pytest
 
-from repro.core.analyzer import AIQLSemanticError, OrGroup, Pred, analyze
-from repro.core.dependency import to_multievent
-from repro.core.parser import parse
+from repro.core.analyzer import AIQLSemanticError, OrGroup, Pred
+from repro.core.dependency import analyze_text as ana
 
 DAY0 = 1523318400000
-
-
-def ana(text):
-    return analyze(to_multievent(parse(text)))
 
 
 class TestBinding:

@@ -12,7 +12,7 @@ from repro.monitor.generator import (
     to_arrow,
 )
 from repro.monitor.schema import event_spark_schema
-from tests.conftest import assert_same_rows
+from repro.oracle import assert_same_rows
 
 
 @pytest.fixture(scope="module")

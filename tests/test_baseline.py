@@ -4,8 +4,8 @@ result-equivalent strategies)."""
 import pytest
 
 from repro.core.baseline import baseline_sql, run_baseline
+from repro.oracle import assert_same_rows
 from repro.workload.queries import QUERIES
-from tests.conftest import assert_same_rows
 
 NAMES = [q.name for q in QUERIES]
 

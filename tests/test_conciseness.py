@@ -1,7 +1,8 @@
 """Conciseness-metric tests (Table B machinery)."""
 import pytest
 
-from repro.core.baseline import analyze_text, baseline_sql
+from repro.core.baseline import baseline_sql
+from repro.core.dependency import analyze_text
 from repro.core.parser import parse
 from repro.workload.conciseness import (
     aggregate_ratios,

@@ -8,7 +8,8 @@ import pytest
 from repro.core.baseline import oracle_sql
 from repro.core.engine import AIQLEngine
 from repro.monitor.schema import event_spark_schema
-from tests.conftest import DAY0, assert_same_rows, make_events, net_ev, run_duckdb
+from repro.oracle import assert_same_rows, run_duckdb
+from tests.conftest import DAY0, make_events, net_ev
 
 AT = '(at "04/10/2018")\n'
 SEC = 1_000

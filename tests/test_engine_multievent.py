@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.baseline import oracle_sql
 from repro.core.engine import AIQLEngine
-from tests.conftest import DAY0, assert_same_rows, run_duckdb
+from repro.oracle import assert_same_rows, run_duckdb
+from tests.conftest import DAY0
 
 AT = '(at "04/10/2018")\n'
 

@@ -1,11 +1,10 @@
 """Equivalent-SQL synthesis tests: structure + executability + equivalence."""
 import pytest
 
-from repro.core.analyzer import analyze
-from repro.core.baseline import analyze_text, oracle_sql
-from repro.core.parser import parse
+from repro.core.baseline import oracle_sql
+from repro.core.dependency import analyze_text
 from repro.core.sqlgen import anomaly_sql, equivalent_sql, multievent_sql
-from tests.conftest import assert_same_rows, run_duckdb
+from repro.oracle import assert_same_rows, run_duckdb
 
 AT = '(at "04/10/2018")\n'
 

@@ -44,7 +44,7 @@ class TestStructure:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_parses_and_analyzes(self, name):
-        from repro.core.baseline import analyze_text
+        from repro.core.dependency import analyze_text
         ana = analyze_text(query_by_name(name).aiql)
         assert ana.return_names
 
