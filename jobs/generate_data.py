@@ -14,8 +14,8 @@ from repro.session import get_spark
 
 def run(spark, sf: float, out: str, n_hosts: int = 10, seed: int = 0,
         days: int = 1):
-    """Generate at ``sf`` and persist partitioned + flat Parquet layouts.
-    Returns the EventStore."""
+    """Generate at ``sf`` and persist both layouts (partitioned Parquet,
+    flat CSV). Returns the EventStore."""
     from repro.monitor.generator import gen_events
     from repro.monitor.storage import EventStore
 

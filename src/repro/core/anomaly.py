@@ -6,14 +6,19 @@ computes the aggregate results, and enforces the filters."
 Windows start every ``step`` and span ``window`` (they overlap when
 ``step < window``); an event is exploded into every window containing it.
 Historical aggregate access ``amt[k]`` resolves to the same group's
-aggregate k windows earlier via a self-join on ``window_id - k``; if that
-window has no events the reference is NULL and the ``having`` comparison
-rejects the row — identically in the synthesized SQL (``sqlgen.py``), which
-the DuckDB oracle verifies.
+aggregate k windows earlier with a window-frame lookup: over the per-window
+aggregate partitioned by the group columns and ordered by ``wid``, the
+range frame ``[-k, -k]`` holds exactly window ``wid - k`` of that group, or
+nothing. An empty frame gives NULL and the ``having`` comparison rejects the
+row. A group whose key has a NULL column has no history at all, because the
+synthesized SQL (``sqlgen.py``) resolves ``amt[k]`` with an equi-join that
+never matches NULL keys; the DuckDB oracle verifies both rules.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from functools import reduce
+
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.analyzer import DEFAULT_ATTR, Analysis
@@ -68,13 +73,9 @@ def window_bounds(ana: Analysis):
     return t0, q.window_ms, q.step_ms, kmax
 
 
-def run(events: DataFrame, ana: Analysis, pin=None) -> DataFrame:
+def run(events: DataFrame, ana: Analysis) -> DataFrame:
     """Execute the analyzed anomaly query over the (possibly store-pruned)
-    event DataFrame.
-
-    ``pin``: callback receiving any DataFrame this run persists, so the
-    caller (the engine) can unpersist it once the query is done.
-    """
+    event DataFrame."""
     q = ana.query
     alias = q.events[0].alias
     t0, w, s, kmax = window_bounds(ana)
@@ -96,24 +97,16 @@ def run(events: DataFrame, ana: Analysis, pin=None) -> DataFrame:
     gcols = group_cols(ana)
     aggs = [agg_expr(n, fc, ana) for n, fc in ana.agg_aliases.items()]
     agg = df.groupBy(*(["wid"] + gcols)).agg(*aggs)
+    # Historical aggregate access: same group, k windows earlier. Groups
+    # with a NULL key column get no history, as in the equi-join SQL.
     if ana.hist_ks:
-        # The per-window aggregate is referenced once per history depth plus
-        # once as the driving side; materialize it so the window explosion
-        # and shuffle run a single time (the result is small: one row per
-        # non-empty window and group).
-        agg = agg.persist()
-        if pin is not None:
-            pin(agg)
-        agg.count()
-
-    # Historical aggregate access: same group, k windows earlier.
-    for k in ana.hist_ks:
-        h = agg.select(
-            *[F.col(c) for c in gcols],
-            (F.col("wid") + F.lit(k)).alias("wid"),
-            *[F.col(n).alias(f"__h{k}__{n}") for n in ana.agg_aliases],
-        )
-        agg = agg.join(h, on=gcols + ["wid"], how="left")
+        keyed = reduce(lambda a, b: a & b,
+                       (F.col(c).isNotNull() for c in gcols), F.lit(True))
+        by_wid = Window.partitionBy(*gcols).orderBy("wid")
+        agg = agg.select("*", *[
+            F.when(keyed, F.first(n).over(by_wid.rangeBetween(-k, -k)))
+            .alias(f"__h{k}__{n}")
+            for k in ana.hist_ks for n in ana.agg_aliases])
 
     if q.having is not None:
         cond = to_column(

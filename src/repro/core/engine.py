@@ -124,8 +124,7 @@ class AIQLEngine:
         ana = self.analyze(text)
         self._release()
         if ana.query.mode == "anomaly":
-            return anomaly_mod.run(self._source(ana), ana,
-                                   pin=self._pinned.append)
+            return anomaly_mod.run(self._source(ana), ana)
         plan = self._plan_multievent(ana)
         joined = join_multievent(plan.dfs, ana, plan.order, plan.broadcast)
         return project_return(joined, ana)

@@ -75,7 +75,8 @@ class EventStore:
         and temporal scope. The ``day``/``agentid`` filters hit partition
         directories, so pruning happens at file-listing time, before any
         row is read."""
-        df = self.spark.read.parquet(self.partitioned_path)
+        df = (self.spark.read.schema(event_spark_schema())
+              .parquet(self.partitioned_path))
         if agentid is not None:
             df = df.filter(F.col("agentid") == agentid)
         if time_range is not None:
@@ -90,7 +91,4 @@ class EventStore:
                 )
             ]
             df = df.filter(F.col("day").isin(days))
-        # Partition-column type inference reads `day` back as DATE; restore
-        # the schema's string type (after the filters, so pruning still sees
-        # the raw partition column).
-        return df.withColumn("day", F.col("day").cast("string"))
+        return df

@@ -1,5 +1,6 @@
-"""Engine resource lifecycle: per-query materializations are pinned and
-released on the next query (persisted pattern scans, anomaly aggregates)."""
+"""Engine resource lifecycle: a multievent query's persisted pattern scans
+are pinned and released on the next query; anomaly queries (history is a
+window-frame lookup) and single-pattern queries pin nothing."""
 from repro.core.engine import AIQLEngine
 
 AT = '(at "04/10/2018")\n'
@@ -19,10 +20,10 @@ class TestPinning:
         eng.execute(TWO_PATTERN).count()
         assert len(eng._pinned) == 2
 
-    def test_anomaly_pins_aggregate(self, spark, tiny):
+    def test_anomaly_pins_nothing(self, spark, tiny):
         eng = AIQLEngine(spark, events=tiny)
         eng.execute(ANOMALY).count()
-        assert len(eng._pinned) == 1
+        assert eng._pinned == []
 
     def test_anomaly_without_history_pins_nothing(self, spark, tiny):
         eng = AIQLEngine(spark, events=tiny)
@@ -36,8 +37,8 @@ class TestPinning:
         eng.execute(TWO_PATTERN).count()
         first = list(eng._pinned)
         eng.execute(ANOMALY).count()
-        assert all(df not in eng._pinned for df in first)
-        assert len(eng._pinned) == 1
+        assert len(first) == 2
+        assert eng._pinned == []
 
     def test_single_pattern_pins_nothing(self, spark, tiny):
         eng = AIQLEngine(spark, events=tiny)
