@@ -12,7 +12,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.analyzer import Analysis, OrGroup, Pred
-from repro.core.expr import SPARK_CMP
+from repro.core.expr import SPARK_CMP, like_pattern
 
 
 def pred_to_column(p) -> Column:
@@ -26,9 +26,9 @@ def pred_to_column(p) -> Column:
     assert isinstance(p, Pred)
     c = F.col(p.col)
     if p.op == "like":
-        return c.like(p.value)
+        return c.like(like_pattern(p.value))
     if p.op == "not like":
-        return ~c.like(p.value)
+        return ~c.like(like_pattern(p.value))
     return SPARK_CMP[p.op](c, F.lit(p.value))
 
 

@@ -54,6 +54,12 @@ def to_column(
     raise ValueError(f"cannot compile expression node {e!r}")
 
 
+def like_pattern(v: str) -> str:
+    """An AIQL wildcard string as a LIKE pattern under Spark's escape
+    character ``\\``: a backslash in the string matches itself."""
+    return v.replace("\\", "\\\\")
+
+
 # -------------------------------------------------------------------- SQL
 def sql_quote(v) -> str:
     """Render a literal for SQL text (portable across Spark/DuckDB)."""

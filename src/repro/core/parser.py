@@ -23,6 +23,7 @@ from repro.core.ast import (
     UnaryOp,
 )
 from repro.core.lexer import AIQLSyntaxError, Token, tokenize
+from repro.monitor.schema import DAY_MS
 
 ENTITY_KINDS = ("proc", "file", "ip")
 OPERATIONS = ("start", "execute", "read", "write", "delete", "connect")
@@ -33,8 +34,6 @@ _UNIT_MS = {
     "hour": 3_600_000, "h": 3_600_000, "hours": 3_600_000,
     "day": 86_400_000, "d": 86_400_000, "days": 86_400_000,
 }
-
-_DAY_MS = 86_400_000
 
 
 def parse_time_ms(s: str) -> int:
@@ -139,8 +138,8 @@ class _Parser:
         kw = self.expect("IDENT")
         if kw.value == "at":
             lo = self._time()
-            lo = lo - lo % _DAY_MS  # snap to day start
-            q.time_range = (lo, lo + _DAY_MS)
+            lo = lo - lo % DAY_MS  # snap to day start
+            q.time_range = (lo, lo + DAY_MS)
         elif kw.value == "from":
             lo = self._time()
             self.expect("IDENT", "to")

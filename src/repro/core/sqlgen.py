@@ -10,7 +10,11 @@ three roles:
 * the **correctness oracle** input executed by DuckDB,
 * the **conciseness** comparison corpus (Table B).
 
-Multievent SQL is dialect-portable; anomaly SQL differs only in the
+AIQL strings are literal except for the ``%`` wildcard. Spark SQL reads a
+backslash in a string literal as an escape, and in a LIKE pattern as one
+again, so the ``spark`` dialect escapes it (once, twice inside LIKE); the
+DuckDB and PostgreSQL texts write strings as they are. Otherwise multievent
+SQL is dialect-portable, and anomaly SQL differs only in the
 array-explosion idiom (Spark ``explode(sequence(...))`` vs DuckDB/PostgreSQL
 ``unnest(generate_series(...))``).
 """
@@ -19,18 +23,23 @@ from __future__ import annotations
 from repro.core.analyzer import Analysis, OrGroup, Pred
 from repro.core.anomaly import group_cols, window_bounds
 from repro.core.ast import AttrRef, FuncCall
-from repro.core.expr import SQL_OPS, sql_quote, to_sql
+from repro.core.expr import SQL_OPS, like_pattern, sql_quote, to_sql
 
 
-def _pred_sql(p, prefix: str) -> str:
+def _pred_sql(p, prefix: str, dialect: str) -> str:
     if isinstance(p, OrGroup):
-        return "(" + " OR ".join(_pred_sql(s, prefix) for s in p.preds) + ")"
+        return "(" + " OR ".join(_pred_sql(s, prefix, dialect) for s in p.preds) + ")"
     assert isinstance(p, Pred)
-    return f"{prefix}{p.col} {SQL_OPS.get(p.op, p.op)} {sql_quote(p.value)}"
+    v = p.value
+    if dialect == "spark" and isinstance(v, str):
+        if p.op in ("like", "not like"):
+            v = like_pattern(v)
+        v = v.replace("\\", "\\\\")
+    return f"{prefix}{p.col} {SQL_OPS.get(p.op, p.op)} {sql_quote(v)}"
 
 
 # ------------------------------------------------------------- multievent
-def multievent_sql(ana: Analysis, table: str = "events") -> str:
+def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events") -> str:
     """The flat self-join formulation an analyst would hand-write: one
     ``events`` scan per event pattern, explicit JOIN ... ON clauses carrying
     the entity and temporal relationships, and every pattern constraint
@@ -65,7 +74,7 @@ def multievent_sql(ana: Analysis, table: str = "events") -> str:
 
     where: list[str] = []
     for a in aliases:
-        where += [_pred_sql(p, f"{a}.") for p in ana.pattern_preds[a]]
+        where += [_pred_sql(p, f"{a}.", dialect) for p in ana.pattern_preds[a]]
     distinct = "DISTINCT " if q.distinct else ""
     return (
         f"SELECT {distinct}{', '.join(sel)}\n"
@@ -83,7 +92,7 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") ->
     q = ana.query
     alias = q.events[0].alias
     t0, w, s, kmax = window_bounds(ana)
-    preds = " AND ".join(_pred_sql(p, "") for p in ana.pattern_preds[alias])
+    preds = " AND ".join(_pred_sql(p, "", dialect) for p in ana.pattern_preds[alias])
     lo = (f"GREATEST(CAST(0 AS BIGINT), "
           f"CAST(FLOOR((ts - {t0} - {w}) / {s}) AS BIGINT) + 1)")
     hi = (f"LEAST(CAST({kmax} AS BIGINT), "
@@ -141,4 +150,4 @@ def equivalent_sql(ana: Analysis, dialect: str = "spark", table: str = "events")
     """The one-big-SQL equivalent of any analyzed query."""
     if ana.query.mode == "anomaly":
         return anomaly_sql(ana, dialect, table)
-    return multievent_sql(ana, table)
+    return multievent_sql(ana, dialect, table)

@@ -18,9 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.monitor.schema import event_spark_schema
+from repro.monitor.schema import (
+    DAY_MS,
+    day_label,
+    event_arrow_schema,
+    event_spark_schema,
+)
 
 _N_EVENTS_PER_SF = 20_000_000
 
@@ -60,7 +67,10 @@ _PORTS = [80, 443, 22, 53, 8080, 8443, 3306, 5432]
 _P_PER_HOST = 120   # process instances per host
 _F_PER_HOST = 400   # file entities per host
 
-_DAY_MS = 86_400_000
+#: Columns of a row before it is finished: everything but ``eid`` and
+#: ``day``, which :func:`_finish` derives.
+_RAW_SCHEMA = pa.schema(
+    [f for f in event_arrow_schema() if f.name not in ("eid", "day")])
 
 
 def host_ip(agentid: int) -> str:
@@ -78,27 +88,23 @@ def _ms(day0: int, hh: int, mm: int, ss: int = 0) -> int:
 
 def _background(
     n: int, n_hosts: int, day0: int, days: int, g: np.random.Generator
-) -> dict:
+) -> pa.Table:
     """Vectorized benign activity: ~50% file, ~15% process, ~35% network.
 
-    Returns a dict of numpy column arrays. String columns stay as
-    fixed-width unicode (``""`` = missing) — no per-element Python string
-    objects, which is what makes generation fast at large SF (tens of
-    millions of boxed strings cost minutes of allocator/GC time)."""
+    Returns the raw rows (unsorted, no ``eid``/``day``) as an Arrow table
+    built from numpy columns: strings are numpy unicode arrays converted
+    in C — no per-element Python string objects, which is what makes
+    generation fast at large SF (tens of millions of boxed strings cost
+    minutes of allocator/GC time)."""
     agent = g.integers(1, n_hosts + 1, n)
-    ts = day0 + g.integers(0, days * _DAY_MS, n)
+    ts = day0 + g.integers(0, days * DAY_MS, n)
 
     # Every composite string comes from a small domain, so strings are
     # built once into lookup tables and rows fancy-index into them — pure C
     # copies, no per-row formatting.
-    # Widths are chosen to also fit every attack-row value, so the attack
-    # merge can cast to these dtypes and concatenate via the fast
-    # same-dtype path (mixed-width unicode concatenation is pathologically
-    # slow in numpy).
-    names = np.array(_NAME_POOL, dtype="U20")
+    names = np.array(_NAME_POOL)
     proc_uid_tab = np.array(
-        [f"{a}-p{s}" for a in range(n_hosts + 1) for s in range(_P_PER_HOST)],
-        dtype="U12",
+        [f"{a}-p{s}" for a in range(n_hosts + 1) for s in range(_P_PER_HOST)]
     )
     file_uid_tab = np.array(
         [f"{a}-f{s}" for a in range(n_hosts + 1) for s in range(_F_PER_HOST)]
@@ -130,17 +136,18 @@ def _background(
     is_proc = (r >= 0.50) & (r < 0.65)
     is_net = r >= 0.65
 
-    # np.zeros on a unicode dtype is calloc -> "" everywhere, much faster
-    # than np.full(n, "").
+    # Filled per event type below; a value the type does not have is
+    # masked to NULL on conversion. np.zeros on a unicode dtype is calloc,
+    # much faster than np.full(n, "").
     op = np.zeros(n, dtype="U8")
     etype = np.zeros(n, dtype="U8")
     o_uid = np.zeros(n, dtype="U24")
     o_name = np.zeros(n, dtype="U32")
     o_ip = np.zeros(n, dtype="U16")
-    o_port = np.full(n, np.nan)
+    o_port = np.zeros(n, dtype=np.int32)
     o_srcip = np.zeros(n, dtype="U16")
-    o_srcport = np.full(n, np.nan)
-    amount = np.full(n, np.nan)
+    o_srcport = np.zeros(n, dtype=np.int32)
+    amount = np.zeros(n, dtype=np.int64)
 
     # --- file events
     nf = int(is_file.sum())
@@ -151,7 +158,7 @@ def _background(
     o_uid[is_file] = file_uid_tab[agent[is_file] * _F_PER_HOST + fslot]
     o_name[is_file] = fpath_tab[fslot]
     famt = np.exp(g.normal(7.5, 1.5, nf)).astype(np.int64) + 64
-    famt[fop == "delete"] = -1  # sentinel → NA below
+    famt[fop == "delete"] = -1  # sentinel → NULL in _finish
     amount[is_file] = famt
 
     # --- process events
@@ -184,7 +191,8 @@ def _background(
     namt[nop == "connect"] = np.minimum(namt[nop == "connect"], 400)
     amount[is_net] = namt
 
-    return {
+    not_net = ~is_net
+    return pa.table({
         "agentid": agent,
         "ts": ts,
         "etype": etype,
@@ -193,13 +201,13 @@ def _background(
         "s_name": s_name,
         "s_pid": s_pid,
         "o_uid": o_uid,
-        "o_name": o_name,
-        "o_ip": o_ip,
-        "o_port": o_port,
-        "o_srcip": o_srcip,
-        "o_srcport": o_srcport,
-        "amount": amount,
-    }
+        "o_name": pa.array(o_name, mask=is_net),
+        "o_ip": pa.array(o_ip, mask=not_net),
+        "o_port": pa.array(o_port, mask=not_net),
+        "o_srcip": pa.array(o_srcip, mask=not_net),
+        "o_srcport": pa.array(o_srcport, mask=not_net),
+        "amount": pa.array(amount, mask=is_proc),
+    }, schema=_RAW_SCHEMA)
 
 
 def _attack_rows(day0: int) -> list[dict]:
@@ -329,171 +337,69 @@ def _attack_rows(day0: int) -> list[dict]:
     return rows
 
 
-#: String columns that may be missing ("" sentinel in canonical arrays).
-_NULLABLE_STRINGS = ("o_uid", "o_name", "o_ip", "o_srcip")
-_STRING_COLS = ("etype", "op", "s_uid", "s_name") + _NULLABLE_STRINGS
-
-
-def _canonical_columns(data) -> dict:
-    """Normalize raw event rows into sorted canonical numpy columns.
-
-    Accepts a dict of column arrays (the generator's fast path — strings as
-    fixed-width unicode with ``""`` = missing) or a pandas frame (tests
-    hand-crafting micro datasets, with None/NaN for missing). Sorts by
-    timestamp, assigns time-ordered ``eid``, and derives the ``day``
-    partition column. Output: strings as unicode arrays with ``""``
-    sentinel; numerics as int64/float64 (NaN = missing).
-    """
-    cols = (
-        {c: data[c].to_numpy() for c in data.columns}
-        if isinstance(data, pd.DataFrame)
-        else dict(data)
-    )
-    n = len(cols["ts"])
-    if "s_pid" not in cols:
-        cols["s_pid"] = np.full(n, 1000.0)
-    for c in _NULLABLE_STRINGS:
-        cols.setdefault(c, np.full(n, "", dtype="U1"))
-    for c in ("o_port", "o_srcport", "amount"):
-        cols.setdefault(c, np.full(n, np.nan))
-
-    ts = np.asarray(cols["ts"], dtype=np.int64)
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    # Day labels via the (few) unique day indices — no per-row strftime.
-    dayidx = ts // _DAY_MS
-    uniq = np.unique(dayidx)
-    labels = np.array(
-        [pd.Timestamp(int(d) * _DAY_MS, unit="ms").strftime("%Y-%m-%d")
-         for d in uniq]
-    )
-    out = {
-        "eid": np.arange(1, n + 1, dtype=np.int64),
-        "agentid": np.asarray(cols["agentid"], dtype=np.int64)[order],
-        "ts": ts,
-        "day": labels[np.searchsorted(uniq, dayidx)],
+def _finish(raw: pa.Table) -> pa.Table:
+    """Raw rows → the event table: stably sorted by timestamp, ``eid``
+    assigned after the sort (time-ordered), the delete sentinel
+    (``amount`` < 0) set to NULL, and ``day`` derived from ``ts``."""
+    tbl = raw.take(pc.sort_indices(raw, [("ts", "ascending")]))
+    amount = tbl["amount"]
+    # Day labels via the (few) unique day indices: no per-row strftime.
+    days, idx = np.unique(tbl["ts"].to_numpy() // DAY_MS, return_inverse=True)
+    cols = {
+        **{c: tbl[c] for c in tbl.column_names},
+        "eid": np.arange(1, tbl.num_rows + 1),
+        "day": pa.array([day_label(int(d) * DAY_MS) for d in days]).take(idx),
+        "amount": pc.if_else(pc.less(amount, 0), None, amount),
     }
-    for c in _STRING_COLS:
-        arr = np.asarray(cols[c])[order]
-        if arr.dtype == object:  # pandas path: None/NaN -> "" sentinel
-            mask = pd.isna(arr)
-            arr = arr.copy()
-            arr[mask] = ""
-            arr = arr.astype("U")
-        out[c] = arr
-    for c, dt in (("s_pid", "float64"), ("o_port", "float64"),
-                  ("o_srcport", "float64"), ("amount", "float64")):
-        arr = np.asarray(cols[c])
-        if arr.dtype == object:
-            arr = np.array(arr, dtype="float64")
-        out[c] = np.asarray(arr, dtype=dt)[order]
-    out["amount"] = out["amount"].copy()
-    out["amount"][out["amount"] < 0] = np.nan  # delete-op sentinel
-    return out
+    return pa.table(cols, schema=event_arrow_schema())
 
 
-_ORDERED = ["eid", "agentid", "ts", "day", "etype", "op", "s_uid", "s_name",
-            "s_pid", "o_uid", "o_name", "o_ip", "o_port", "o_srcip",
-            "o_srcport", "amount"]
+def _to_pandas(tbl: pa.Table) -> pd.DataFrame:
+    """The pandas conversion of the event table: nullable ``Int32``/``Int64``
+    for the ints that may be missing, NumPy ints for the never-missing
+    ``eid``/``agentid``/``ts``, strings as objects with None."""
+    nullable = {pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype()}
+    return tbl.to_pandas(types_mapper=nullable.get).astype(
+        {c: tbl.schema.field(c).type.to_pandas_dtype()
+         for c in ("eid", "agentid", "ts")})
 
 
-def to_arrow(cols: dict):
-    """Canonical columns → a schema-exact ``pyarrow.Table``.
-
-    The fast path to Spark: unicode arrays convert to Arrow strings in C,
-    never materializing per-row Python objects; ``""`` sentinels become
-    NULLs via a validity mask; NaN in the float arrays becomes NULL in the
-    nullable int columns.
-    """
-    import pyarrow as pa
-
-    arrays = {
-        "eid": pa.array(cols["eid"], type=pa.int64()),
-        "agentid": pa.array(cols["agentid"], type=pa.int32()),
-        "ts": pa.array(cols["ts"], type=pa.int64()),
-        "day": pa.array(cols["day"]),
-    }
-    for c in _STRING_COLS:
-        arr = cols[c]
-        mask = (arr == "") if c in _NULLABLE_STRINGS else None
-        arrays[c] = pa.array(arr, mask=mask)
-    for c, t in (("s_pid", pa.int32()), ("o_port", pa.int32()),
-                 ("o_srcport", pa.int32()), ("amount", pa.int64())):
-        arrays[c] = pa.array(cols[c], type=t, from_pandas=True)  # NaN -> NULL
-    return pa.table({c: arrays[c] for c in _ORDERED})
+def as_event_frame(rows: list[dict]) -> pd.DataFrame:
+    """Hand-made rows → the schema-exact pandas event frame. Each row needs
+    at least agentid/ts/etype/op/s_uid/s_name; ``s_pid`` defaults to 1000,
+    other omitted columns to NULL."""
+    raw = pa.Table.from_pylist([{"s_pid": 1000, **r} for r in rows],
+                               schema=_RAW_SCHEMA)
+    return _to_pandas(_finish(raw))
 
 
-def as_event_frame(data) -> pd.DataFrame:
-    """Finalize raw event rows into a schema-exact pandas frame (the
-    test/oracle path; use :func:`to_arrow` + Spark for large SF).
-
-    Sorts by timestamp, assigns time-ordered ``eid``, derives ``day``, and
-    casts every column to the dtype that maps onto the Spark/DuckDB schema
-    (nullable ints and strings → NULLs/None).
-    """
-    cols = _canonical_columns(data)
-    out = {}
-    for c in _ORDERED:
-        arr = cols[c]
-        if c in _STRING_COLS or c == "day":
-            obj = arr.astype(object)
-            if c in _NULLABLE_STRINGS:
-                obj[arr == ""] = None
-            out[c] = obj
-        elif c == "agentid":
-            out[c] = arr.astype(np.int32)
-        elif c in ("s_pid", "o_port", "o_srcport"):
-            out[c] = pd.Series(arr).astype("Int32")
-        elif c == "amount":
-            out[c] = pd.Series(arr).astype("Int64")
-        else:
-            out[c] = arr
-    return pd.DataFrame(out, copy=False)
+def _event_table(*, sf, n_hosts, seed, start_day, days, attack) -> pa.Table:
+    """Background + attack rows as one finished event table."""
+    if n_hosts < 5 and attack:
+        raise ValueError("the attack scenario spans hosts 1-5; need n_hosts >= 5")
+    day0 = _day_start_ms(start_day)
+    n = max(1, int(_N_EVENTS_PER_SF * sf))
+    raw = _background(n, n_hosts, day0, days, np.random.default_rng(seed))
+    if attack:
+        atk = pa.Table.from_pylist(_attack_rows(day0), schema=_RAW_SCHEMA)
+        raw = pa.concat_tables([raw, atk])
+    return _finish(raw)
 
 
 def gen_events_pdf(
     *, sf: float = 0.01, n_hosts: int = 10, seed: int = 0,
     start_day: str = "2018-04-10", days: int = 1, attack: bool = True,
 ) -> pd.DataFrame:
-    """Full trace as a pandas frame (background + attack), schema-typed.
+    """Full trace as a pandas frame (background + attack), schema-typed:
+    the pandas conversion of the table :func:`gen_events` loads.
 
     Deterministic in ``seed``; sorted by timestamp with ``eid`` assigned
     after the sort so event ids are time-ordered.
     """
-    return as_event_frame(_raw_columns(
+    return _to_pandas(_event_table(
         sf=sf, n_hosts=n_hosts, seed=seed, start_day=start_day, days=days,
         attack=attack,
     ))
-
-
-def _raw_columns(*, sf, n_hosts, seed, start_day, days, attack) -> dict:
-    """Background + attack as one dict of raw column arrays (unsorted)."""
-    if n_hosts < 5 and attack:
-        raise ValueError("the attack scenario spans hosts 1-5; need n_hosts >= 5")
-    day0 = _day_start_ms(start_day)
-    n = max(1, int(_N_EVENTS_PER_SF * sf))
-    g = np.random.default_rng(seed)
-    cols = _background(n, n_hosts, day0, days, g)
-    if attack:
-        atk = pd.DataFrame(_attack_rows(day0))
-        merged = {}
-        for c in cols:
-            a = atk[c].to_numpy()
-            if cols[c].dtype.kind == "U":  # None -> "" sentinel, then fixed-width
-                raw = np.where(pd.isna(a), "", a)
-                a = raw.astype(cols[c].dtype)
-                if (a != raw.astype("U")).any():
-                    raise AssertionError(
-                        f"attack value truncated in column {c!r}: widen the "
-                        f"background dtype ({cols[c].dtype})"
-                    )
-            else:
-                a = np.array(a, dtype="float64")
-                if cols[c].dtype.kind in "iu":
-                    cols[c] = cols[c].astype("float64")
-            merged[c] = np.concatenate([cols[c], a])
-        cols = merged
-    return cols
 
 
 def gen_events(
@@ -505,8 +411,8 @@ def gen_events(
     Goes through Arrow (never pandas), so generation stays numpy-vectorized
     end to end — the SF 0.5 benchmark dataset builds in tens of seconds.
     """
-    tbl = to_arrow(_canonical_columns(_raw_columns(
+    tbl = _event_table(
         sf=sf, n_hosts=n_hosts, seed=seed, start_day=start_day, days=days,
         attack=attack,
-    )))
+    )
     return spark.createDataFrame(tbl, schema=event_spark_schema())

@@ -10,6 +10,9 @@ One flat table holds all three event types (the per-type object attributes
 are nullable); this mirrors the paper's relational storage and makes the
 "one big SQL" baseline natural to synthesize.
 """
+from datetime import datetime, timedelta, timezone
+
+import pyarrow as pa
 from pyspark.sql import types as T
 
 # Epoch-milliseconds timestamps throughout: pure integer arithmetic is
@@ -51,6 +54,7 @@ _SPARK_TYPES = {
     "int": T.IntegerType(),
     "string": T.StringType(),
 }
+_ARROW_TYPES = {"long": pa.int64(), "int": pa.int32(), "string": pa.string()}
 
 
 def event_spark_schema() -> T.StructType:
@@ -58,6 +62,28 @@ def event_spark_schema() -> T.StructType:
     return T.StructType(
         [T.StructField(n, _SPARK_TYPES[t], True) for n, t in EVENT_COLUMNS]
     )
+
+
+def event_arrow_schema() -> pa.Schema:
+    """Arrow schema for the flat event table (all columns nullable)."""
+    return pa.schema([(n, _ARROW_TYPES[t]) for n, t in EVENT_COLUMNS])
+
+
+# The ``day`` partition key. The generator labels rows with it and the
+# store prunes partitions by it, so both must derive it the same way: a
+# row whose label the pruning does not list is silently dropped.
+DAY_MS = 86_400_000
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def day_label(ts_ms: int) -> str:
+    """The ``day`` label (``yyyy-mm-dd``, UTC) of an epoch-ms timestamp."""
+    return (_EPOCH + timedelta(milliseconds=ts_ms)).strftime("%Y-%m-%d")
+
+
+def day_labels(lo: int, hi: int) -> list[str]:
+    """The ``day`` labels of every row a ``ts`` range ``[lo, hi)`` can hold."""
+    return [day_label(d * DAY_MS) for d in range(lo // DAY_MS, (hi - 1) // DAY_MS + 1)]
 
 
 def etype_for(op: str, object_type: str) -> str:

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.monitor.schema import event_spark_schema
+from repro.monitor.schema import day_labels, event_spark_schema
 
 
 class EventStore:
@@ -80,15 +79,5 @@ class EventStore:
         if agentid is not None:
             df = df.filter(F.col("agentid") == agentid)
         if time_range is not None:
-            lo, hi = time_range
-            days = [
-                d.strftime("%Y-%m-%d")
-                for d in pd.date_range(
-                    pd.Timestamp(lo, unit="ms"),
-                    pd.Timestamp(hi - 1, unit="ms"),
-                    freq="D",
-                    normalize=True,
-                )
-            ]
-            df = df.filter(F.col("day").isin(days))
+            df = df.filter(F.col("day").isin(day_labels(*time_range)))
         return df

@@ -25,7 +25,7 @@ DAY0 = 1523318400000  # 2018-04-10 00:00:00 UTC
 def make_events(rows: list[dict]) -> pd.DataFrame:
     """Hand-crafted rows → schema-exact event frame. Each row needs at
     least agentid/ts/etype/op/s_uid/s_name; object columns default NULL."""
-    return as_event_frame(pd.DataFrame(rows))
+    return as_event_frame(rows)
 
 
 def file_ev(agentid, ts, op, s_uid, s_name, path, amount=100):

@@ -1,16 +1,10 @@
-"""The Arrow fast path (``gen_events``/``to_arrow``) must be row-identical
-to the pandas path (``gen_events_pdf``), and the flat CSV baseline layout
-must preserve rows and NULLs exactly."""
+"""The Spark frame ``gen_events`` loads from the generator's Arrow table
+must be row-identical to its pandas conversion (``gen_events_pdf``), and
+the flat CSV baseline layout must preserve rows and NULLs exactly."""
 import pandas as pd
 import pytest
 
-from repro.monitor.generator import (
-    _canonical_columns,
-    _raw_columns,
-    gen_events,
-    gen_events_pdf,
-    to_arrow,
-)
+from repro.monitor.generator import _event_table, gen_events, gen_events_pdf
 from repro.monitor.schema import event_spark_schema
 from repro.oracle import assert_same_rows
 
@@ -43,10 +37,8 @@ class TestArrowEqualsPandas:
 
 class TestToArrow:
     def test_empty_string_becomes_null(self):
-        cols = _canonical_columns(_raw_columns(
-            sf=0.00005, n_hosts=5, seed=0, start_day="2018-04-10", days=1,
-            attack=True))
-        tbl = to_arrow(cols)
+        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0,
+                           start_day="2018-04-10", days=1, attack=True)
         o_name = tbl.column("o_name")
         assert o_name.null_count > 0
         assert tbl.column("etype").null_count == 0
@@ -54,20 +46,24 @@ class TestToArrow:
 
     def test_schema_types(self):
         import pyarrow as pa
-        cols = _canonical_columns(_raw_columns(
-            sf=0.00005, n_hosts=5, seed=0, start_day="2018-04-10", days=1,
-            attack=False))
-        tbl = to_arrow(cols)
+        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0,
+                           start_day="2018-04-10", days=1, attack=False)
         assert tbl.schema.field("agentid").type == pa.int32()
         assert tbl.schema.field("ts").type == pa.int64()
         assert tbl.schema.field("o_port").type == pa.int32()
         assert tbl.schema.field("amount").type == pa.int64()
 
+    def test_even_batches(self):
+        """One chunk per column, so Spark cuts the table into full
+        10k-row Arrow batches (one partition each)."""
+        tbl = _event_table(sf=0.001, n_hosts=10, seed=0,
+                           start_day="2018-04-10", days=1, attack=True)
+        assert [b.num_rows for b in tbl.to_batches(max_chunksize=10_000)] \
+            == [10_000, 10_000, 211]
+
     def test_attack_names_not_truncated(self):
-        cols = _canonical_columns(_raw_columns(
-            sf=0.00005, n_hosts=5, seed=0, start_day="2018-04-10", days=1,
-            attack=True))
-        tbl = to_arrow(cols)
+        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0,
+                           start_day="2018-04-10", days=1, attack=True)
         names = set(tbl.column("o_name").to_pylist())
         assert "cve-2015-1701.exe" in set(tbl.column("s_name").to_pylist()) \
             | names

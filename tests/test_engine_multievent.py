@@ -2,10 +2,12 @@
 cross-checked against the DuckDB oracle where it adds signal."""
 import pytest
 
-from repro.core.baseline import oracle_sql
+from repro.core import engine as engine_mod
+from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
+from repro.monitor.schema import event_spark_schema
 from repro.oracle import assert_same_rows, run_duckdb
-from tests.conftest import DAY0
+from tests.conftest import DAY0, file_ev, make_events, proc_ev
 
 AT = '(at "04/10/2018")\n'
 
@@ -159,6 +161,37 @@ class TestOracleAgreement:
         assert_same_rows(got, want)
 
 
+@pytest.fixture(scope="module")
+def win_paths_pdf():
+    """Windows paths: backslashes, and a ``\\t`` that SQL escapes would
+    read as a tab."""
+    exe, t = "c:\\temp\\t.exe", DAY0
+    return make_events([
+        proc_ev(1, t + 1_000, "start", "a1", "explorer.exe", "b1", exe),
+        file_ev(1, t + 2_000, "write", "b1", exe, "c:\\temp\\x.dat"),
+        file_ev(1, t + 3_000, "read", "b1", exe, "c:\\users\\doc.txt"),
+        file_ev(1, t + 4_000, "read", "a1", "explorer.exe", "c:\\temp"),
+    ])
+
+
+class TestBackslashStrings:
+    """AIQL strings are literal except for ``%``: a backslash matches itself
+    in the engine, the Spark baseline and DuckDB alike."""
+
+    @pytest.mark.parametrize("q", [
+        r'proc p["%\\temp%"] read file f as e1' '\nreturn p, f',
+        r'proc p["c:\\temp\\t.exe"] read file f as e1' '\nreturn p, f',
+    ])
+    def test_engine_baseline_duckdb_agree(self, spark, win_paths_pdf, q):
+        text = AT + q
+        events = spark.createDataFrame(win_paths_pdf, schema=event_spark_schema())
+        got = AIQLEngine(spark, events=events).execute(text).toPandas()
+        want = run_duckdb(oracle_sql(text), events=win_paths_pdf)
+        assert len(want) > 0
+        assert_same_rows(got, want)
+        assert_same_rows(run_baseline(spark, text, events).toPandas(), want)
+
+
 class TestPlanAndScheduling:
     Q = (AT + 'proc p read file f as e1\n'
               'proc q["python"] write file f as e2\n'
@@ -177,8 +210,9 @@ class TestPlanAndScheduling:
         assert p.order[0] not in p.broadcast
         assert set(p.order[1:]) == p.broadcast
 
-    def test_broadcast_threshold_zero_disables(self, spark, tiny):
-        eng = AIQLEngine(spark, events=tiny, broadcast_rows=0)
+    def test_broadcast_threshold_zero_disables(self, spark, tiny, monkeypatch):
+        monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", 0)
+        eng = AIQLEngine(spark, events=tiny)
         p = eng.plan(self.Q)
         assert p.broadcast == set()
         got = {tuple(r) for r in eng.execute(self.Q).collect()}

@@ -1,4 +1,6 @@
 """Synthetic-trace generator tests: determinism, schema, attack injection."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -64,6 +66,33 @@ class TestShape:
     def test_no_attack(self):
         p = gen_events_pdf(sf=0.001, attack=False, n_hosts=3)
         assert not p["s_uid"].str.contains("-atk").any()
+
+
+def frame_digest(pdf: pd.DataFrame) -> str:
+    """sha256 over every column's name, dtype and values (``None`` and
+    ``<NA>`` spelled out, so a changed missing-value marker shows)."""
+    h = hashlib.sha256()
+    for c in pdf.columns:
+        h.update(f"{c}:{pdf[c].dtype}:{pdf[c].tolist()!r}\n".encode())
+    return h.hexdigest()
+
+
+class TestGolden:
+    """Pinned output: any change to the generated rows or dtypes shows here,
+    which a same-process determinism check cannot see."""
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(sf=0.001, seed=0),
+         "59709db86bb99064602fd351dba38c45cdbcd81036ec02e7a05a96944cdf3e54"),
+        (dict(sf=0.002, seed=2001),
+         "47790b51cc4718b6ff5912b95ead8455c862935350142cfb69c99d562c71814d"),
+        (dict(sf=0.0005, seed=7, days=3),
+         "5597ea816c9937982caf5dc0c4a3b4ba33599ff569843ee34c3ffc392f281d8c"),
+        (dict(sf=0.001, seed=1, attack=False, n_hosts=3),
+         "8cb760bf082de369b14fd1e79443a5225aa1cb568cd3354d3873db0a8d5b1751"),
+    ])
+    def test_digest(self, kwargs, digest):
+        assert frame_digest(gen_events_pdf(**kwargs)) == digest
 
 
 class TestTyping:
@@ -143,16 +172,17 @@ class TestHelpers:
         assert host_ip(3) == "10.0.0.3"
 
     def test_as_event_frame_defaults(self):
-        p = as_event_frame(pd.DataFrame([
+        p = as_event_frame([
             dict(agentid=1, ts=DAY0 + 5, etype="process", op="start",
-                 s_uid="x", s_name="bash")]))
+                 s_uid="x", s_name="bash")])
         assert p["o_uid"].isna().all() and p["eid"].tolist() == [1]
         assert p["day"].tolist() == ["2018-04-10"]
+        assert p["s_pid"].tolist() == [1000]
 
     def test_as_event_frame_sorts(self):
-        p = as_event_frame(pd.DataFrame([
+        p = as_event_frame([
             dict(agentid=1, ts=DAY0 + 10, etype="process", op="start",
                  s_uid="b", s_name="b"),
             dict(agentid=1, ts=DAY0 + 5, etype="process", op="start",
-                 s_uid="a", s_name="a")]))
+                 s_uid="a", s_name="a")])
         assert p["s_uid"].tolist() == ["a", "b"]

@@ -1,8 +1,19 @@
-"""Data-model tests: event schema and operation/object-type validation."""
+"""Data-model tests: event schema, the ``day`` partition key, and
+operation/object-type validation."""
 import pytest
 from pyspark.sql import types as T
 
-from repro.monitor.schema import EVENT_COLUMNS, etype_for, event_spark_schema
+from repro.monitor.schema import (
+    DAY_MS,
+    EVENT_COLUMNS,
+    day_label,
+    day_labels,
+    etype_for,
+    event_arrow_schema,
+    event_spark_schema,
+)
+
+DAY0 = 1523318400000  # 2018-04-10 00:00:00 UTC
 
 
 class TestSchema:
@@ -23,6 +34,27 @@ class TestSchema:
 
     def test_all_nullable(self):
         assert all(f.nullable for f in event_spark_schema().fields)
+
+    def test_arrow_schema_matches_columns(self):
+        s = event_arrow_schema()
+        assert s.names == [n for n, _ in EVENT_COLUMNS]
+        assert all(f.nullable for f in s)
+
+
+class TestDayKey:
+    def test_label_is_utc_date(self):
+        assert day_label(DAY0) == "2018-04-10"
+        assert day_label(DAY0 - 1) == "2018-04-09"
+        assert day_label(DAY0 + DAY_MS - 1) == "2018-04-10"
+
+    def test_range_upper_bound_exclusive_at_midnight(self):
+        assert day_labels(DAY0, DAY0 + DAY_MS) == ["2018-04-10"]
+        assert day_labels(DAY0 + DAY_MS - 1, DAY0 + DAY_MS) == ["2018-04-10"]
+        assert day_labels(DAY0, DAY0 + DAY_MS + 1) == ["2018-04-10", "2018-04-11"]
+
+    def test_range_spans_days(self):
+        assert day_labels(DAY0 - 1, DAY0 + 2 * DAY_MS) == [
+            "2018-04-09", "2018-04-10", "2018-04-11"]
 
 
 class TestEtypeFor:
