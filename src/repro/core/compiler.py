@@ -4,7 +4,7 @@ The engine does *not* hand Catalyst one big join soup (that is the baseline,
 ``baseline.py``). Instead — per paper §2.3 — it synthesizes one data query
 per event pattern (a pruned, prefixed scan) and folds them into a left-deep
 join in the order chosen by the pruning-power scheduler, broadcasting sides
-it has measured to be small.
+whose row bound is small.
 """
 from __future__ import annotations
 

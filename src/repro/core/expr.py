@@ -55,9 +55,10 @@ def to_column(
 
 
 def like_pattern(v: str) -> str:
-    """An AIQL wildcard string as a LIKE pattern under Spark's escape
-    character ``\\``: a backslash in the string matches itself."""
-    return v.replace("\\", "\\\\")
+    """An AIQL wildcard string as a LIKE pattern under the escape character
+    ``\\``: only ``%`` is a wildcard, so a backslash or an ``_`` in the
+    string matches itself."""
+    return v.replace("\\", "\\\\").replace("_", "\\_")
 
 
 # -------------------------------------------------------------------- SQL

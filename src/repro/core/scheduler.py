@@ -4,15 +4,19 @@
 event patterns with higher pruning power, maximizing the reduction of
 irrelevant events as early as possible."
 
-Pruning power is measured as the matched cardinality of each synthesized
-per-pattern data query (fewer matches = more pruning). The scheduler emits
-a left-deep join order: start from the most selective pattern, then always
-fold in the most selective pattern that is *connected* to the already-placed
-set (shares an entity variable or a temporal constraint), falling back to
-the global minimum only when the constraint graph is disconnected — this
-both front-loads pruning and avoids accidental cross joins.
+Pruning power is scored, not measured: the engine keys each pattern by
+(number of lowered predicates, descending; bound on its rows from the
+event count table, ascending), so no pattern runs before the join. The
+scheduler emits a left-deep join order: start from the pattern with the
+smallest key, then always fold in the smallest-keyed pattern that is
+*connected* to the already-placed set (shares an entity variable or a
+temporal constraint), falling back to the global minimum only when the
+constraint graph is disconnected — this both front-loads pruning and
+avoids accidental cross joins.
 """
 from __future__ import annotations
+
+from typing import Any
 
 
 def build_adjacency(
@@ -34,13 +38,14 @@ def build_adjacency(
 
 
 def order_patterns(
-    counts: dict[str, int], adjacency: dict[str, set[str]]
+    keys: dict[str, Any], adjacency: dict[str, set[str]]
 ) -> list[str]:
-    """Left-deep join order by ascending cardinality, preferring patterns
-    connected to the placed set. Deterministic: ties break on alias name."""
-    if not counts:
+    """Left-deep join order by ascending key (smaller = more pruning),
+    preferring patterns connected to the placed set. Deterministic: ties
+    break on alias name."""
+    if not keys:
         return []
-    remaining = dict(counts)
+    remaining = dict(keys)
     key = lambda a: (remaining[a], a)  # noqa: E731
     order = [min(remaining, key=key)]
     del remaining[order[0]]

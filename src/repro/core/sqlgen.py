@@ -10,12 +10,15 @@ three roles:
 * the **correctness oracle** input executed by DuckDB,
 * the **conciseness** comparison corpus (Table B).
 
-AIQL strings are literal except for the ``%`` wildcard. Spark SQL reads a
-backslash in a string literal as an escape, and in a LIKE pattern as one
-again, so the ``spark`` dialect escapes it (once, twice inside LIKE); the
-DuckDB and PostgreSQL texts write strings as they are. Otherwise multievent
-SQL is dialect-portable, and anomaly SQL differs only in the
-array-explosion idiom (Spark ``explode(sequence(...))`` vs DuckDB/PostgreSQL
+AIQL strings are literal except for the ``%`` wildcard. A LIKE pattern
+escapes ``\\`` and ``_`` with ``\\`` (``expr.like_pattern``), the default
+LIKE escape of Spark and PostgreSQL; DuckDB has none by default, so its
+text names it (``ESCAPE '\\'``) wherever a pattern uses it. Spark SQL also
+reads a backslash in any string literal as an escape, so the ``spark``
+dialect doubles backslashes once more; the DuckDB and PostgreSQL texts
+write literals as they are. Otherwise multievent SQL is dialect-portable,
+and anomaly SQL differs only in the array-explosion idiom (Spark
+``explode(sequence(...))`` vs DuckDB/PostgreSQL
 ``unnest(generate_series(...))``).
 """
 from __future__ import annotations
@@ -30,12 +33,14 @@ def _pred_sql(p, prefix: str, dialect: str) -> str:
     if isinstance(p, OrGroup):
         return "(" + " OR ".join(_pred_sql(s, prefix, dialect) for s in p.preds) + ")"
     assert isinstance(p, Pred)
-    v = p.value
+    v, escape = p.value, ""
+    if p.op in ("like", "not like"):
+        v = like_pattern(p.value)
+        if dialect == "duckdb" and v != p.value:
+            escape = " ESCAPE '\\'"
     if dialect == "spark" and isinstance(v, str):
-        if p.op in ("like", "not like"):
-            v = like_pattern(v)
         v = v.replace("\\", "\\\\")
-    return f"{prefix}{p.col} {SQL_OPS.get(p.op, p.op)} {sql_quote(v)}"
+    return f"{prefix}{p.col} {SQL_OPS.get(p.op, p.op)} {sql_quote(v)}{escape}"
 
 
 # ------------------------------------------------------------- multievent

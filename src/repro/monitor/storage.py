@@ -14,15 +14,51 @@ baseline re-reads the whole table. The analog here is a flat headered CSV
 (``events_flat``): schema-checked but row-oriented and unpruned, which is
 what the semantics-agnostic baseline of Table A scans. (DESIGN.md §4
 documents this substitution.)
+
+Beside the layouts, a store answers how many events each (``agentid``,
+``day``, ``etype``, ``op``) slice holds (``event_counts``): the statistics
+the engine's scheduler bounds a pattern's rows with, without running it.
 """
 from __future__ import annotations
 
+import threading
 from pathlib import Path
+from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.monitor.schema import day_labels, event_spark_schema
+
+#: The keys of the event count table; ``agentid`` and ``day`` are the
+#: partition keys, ``etype`` and ``op`` the two predicates every pattern has.
+COUNT_KEYS = ("agentid", "day", "etype", "op")
+
+
+def count_events(events: DataFrame) -> dict[tuple, int]:
+    """Rows per ``COUNT_KEYS`` slice of ``events``, in one aggregate job."""
+    return {tuple(r[:-1]): r[-1]
+            for r in events.groupBy(*COUNT_KEYS).count().collect()}
+
+
+class EventCounts:
+    """``count_events`` of a source, computed on the first call and kept
+    until ``clear``. Thread-safe: concurrent first calls share one job."""
+
+    def __init__(self, source: Callable[[], DataFrame]):
+        self._source = source
+        self._table: dict[tuple, int] | None = None
+        self._lock = threading.Lock()
+
+    def __call__(self) -> dict[tuple, int]:
+        with self._lock:
+            if self._table is None:
+                self._table = count_events(self._source())
+            return self._table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._table = None
 
 
 class EventStore:
@@ -31,6 +67,9 @@ class EventStore:
     def __init__(self, spark: SparkSession, base: str | Path):
         self.spark = spark
         self.base = Path(base)
+        # Built from the partitioned layout on first use, not in ``write``:
+        # ingest time stays the time to write the two layouts.
+        self.event_counts = EventCounts(self.events_partitioned)
 
     @property
     def partitioned_path(self) -> str:
@@ -41,20 +80,24 @@ class EventStore:
         return str(self.base / "events_flat")
 
     def write(self, df: DataFrame) -> None:
-        """Persist both layouts (overwrite)."""
-        (
-            # One file per (agentid, day) partition: compact listing and
-            # scan-sized files instead of writers × partitions fragments.
-            df.repartition("agentid", "day")
-            .write.mode("overwrite")
-            .partitionBy("agentid", "day")
-            .parquet(self.partitioned_path)
-        )
-        (
-            df.write.mode("overwrite")
-            .option("header", True)
-            .csv(self.flat_path)
-        )
+        """Persist both layouts (overwrite) and forget the event counts of
+        the rows they held, even if the write fails part way."""
+        try:
+            (
+                # One file per (agentid, day) partition: compact listing and
+                # scan-sized files instead of writers × partitions fragments.
+                df.repartition("agentid", "day")
+                .write.mode("overwrite")
+                .partitionBy("agentid", "day")
+                .parquet(self.partitioned_path)
+            )
+            (
+                df.write.mode("overwrite")
+                .option("header", True)
+                .csv(self.flat_path)
+            )
+        finally:
+            self.event_counts.clear()
 
     def events_flat(self) -> DataFrame:
         """The generic row-oriented layout (the baseline's side): flat CSV,

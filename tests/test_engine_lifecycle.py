@@ -1,25 +1,24 @@
-"""Engine resource lifecycle, counted in Spark's persistent RDDs: a
-multievent query's probed pattern scans stay cached exactly as long as the
-DataFrame ``execute`` returned (or the plan ``plan`` returned) is alive;
-anomaly queries (history is a window-frame lookup) and single-pattern
-queries cache nothing."""
-import gc
+"""A query caches nothing: after ``plan``, ``execute`` and ``collect``,
+Spark holds no more persistent RDDs than before, for multievent,
+single-pattern and anomaly queries alike, and with threads sharing one
+engine. Planning runs no Spark job once the event count table exists, and
+that table is computed once per source."""
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.engine import AIQLEngine
+from repro.monitor.storage import EventStore
 
 AT = '(at "04/10/2018")\n'
 
 TWO_PATTERN = (AT + 'proc p read file f as e1\n'
                     'proc q["python"] write file f as e2\n'
                     'with e1 before e2\nreturn p, q, f')
-# No pattern scan in common with TWO_PATTERN: Spark shares one cache entry
-# between identical plans.
 OTHER_TWO_PATTERN = (AT + 'proc p start proc c as e1\n'
                           'proc c write file f as e2\n'
                           'with e1 before e2\nreturn p, c, f')
+SINGLE_PATTERN = AT + 'proc p read file f as e1\nreturn p'
 ANOMALY = (AT + 'window = 1 min, step = 10 sec\n'
                 'proc p write ip i as e\n'
                 'return p, avg(e.amount) as amt\ngroup by p\n'
@@ -31,25 +30,33 @@ def persisted(spark) -> int:
     return spark.sparkContext._jsc.getPersistentRDDs().size()
 
 
+def jobs_started(spark) -> int:
+    """Spark jobs submitted so far by this SparkContext."""
+    return spark.sparkContext._jsc.sc().dagScheduler().numTotalJobs()
+
+
 @pytest.fixture
 def cached(spark):
-    """Persistent RDDs added since the test started (earlier tests' results
-    are collected first, so their releases do not land mid-test)."""
-    gc.collect()
+    """Persistent RDDs added since the test started."""
     before = persisted(spark)
     return lambda: persisted(spark) - before
 
 
+def rows(df) -> set:
+    return {tuple(r) for r in df.collect()}
+
+
 class TestPinning:
-    def test_multievent_pins_patterns(self, spark, tiny, cached):
+    def test_multievent_pins_nothing(self, spark, tiny, cached):
         eng = AIQLEngine(spark, events=tiny)
         r = eng.execute(TWO_PATTERN)
-        r.count()
-        assert cached() == 2
+        assert rows(r) == {("bash", "python", "/tmp/x"),
+                           ("python", "python", "/tmp/x")}
+        assert cached() == 0
 
     def test_anomaly_pins_nothing(self, spark, tiny, cached):
         eng = AIQLEngine(spark, events=tiny)
-        eng.execute(ANOMALY).count()
+        eng.execute(ANOMALY).collect()
         assert cached() == 0
 
     def test_anomaly_without_history_pins_nothing(self, spark, tiny, cached):
@@ -57,55 +64,62 @@ class TestPinning:
         r = eng.execute(AT + 'window = 1 min, step = 10 sec\n'
                              'proc p write ip i as e\n'
                              'return p, avg(e.amount) as amt\ngroup by p')
-        r.count()
+        r.collect()
         assert cached() == 0
 
-    def test_dropped_result_releases_patterns(self, spark, tiny, cached):
+    def test_live_results_pin_nothing(self, spark, tiny, cached):
         eng = AIQLEngine(spark, events=tiny)
-        r = eng.execute(TWO_PATTERN)
-        r.count()
-        assert cached() == 2
-        del r
-        assert cached() == 0
-
-    def test_live_results_keep_their_patterns(self, spark, tiny, cached):
-        eng = AIQLEngine(spark, events=tiny)
-        r1 = eng.execute(TWO_PATTERN)
-        r1.count()
-        r2 = eng.execute(OTHER_TWO_PATTERN)
-        r2.count()
-        eng.execute(ANOMALY).count()
-        assert cached() == 4  # both queries' scans, while both are alive
-        del r1
-        assert cached() == 2
-        del r2
+        live = [eng.execute(q) for q in (TWO_PATTERN, OTHER_TWO_PATTERN,
+                                         SINGLE_PATTERN, ANOMALY)]
+        for df in live:
+            df.collect()
         assert cached() == 0
 
     def test_threads_share_one_engine(self, spark, tiny, cached):
         eng = AIQLEngine(spark, events=tiny)
-        queries = [TWO_PATTERN, OTHER_TWO_PATTERN]
-        want = [{tuple(r) for r in eng.execute(q).collect()} for q in queries]
+        queries = [TWO_PATTERN, OTHER_TWO_PATTERN, SINGLE_PATTERN, ANOMALY]
+        want = [rows(AIQLEngine(spark, events=tiny).execute(q)) for q in queries]
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results = list(pool.map(eng.execute, queries, timeout=300))
-        assert cached() == 4
-        assert [{tuple(r) for r in df.collect()} for df in results] == want
+            got = list(pool.map(lambda q: rows(eng.execute(q)), queries,
+                                timeout=300))
+        assert got == want
+        assert cached() == 0
 
-    def test_plan_owns_its_probes(self, spark, tiny, cached):
-        eng = AIQLEngine(spark, events=tiny)
-        p = eng.plan(TWO_PATTERN)
-        assert cached() == 2
-        del p
+    def test_plan_pins_nothing(self, spark, tiny, cached):
+        AIQLEngine(spark, events=tiny).plan(TWO_PATTERN)
         assert cached() == 0
 
     def test_single_pattern_pins_nothing(self, spark, tiny, cached):
         eng = AIQLEngine(spark, events=tiny)
-        r = eng.execute(AT + 'proc p read file f as e1\nreturn p')
-        r.count()
+        r = eng.execute(SINGLE_PATTERN)
+        r.collect()
         assert cached() == 0
 
     def test_results_correct_across_sequential_queries(self, spark, tiny):
         eng = AIQLEngine(spark, events=tiny)
-        a = {tuple(r) for r in eng.execute(TWO_PATTERN).collect()}
-        eng.execute(ANOMALY).count()
-        b = {tuple(r) for r in eng.execute(TWO_PATTERN).collect()}
+        a = rows(eng.execute(TWO_PATTERN))
+        eng.execute(ANOMALY).collect()
+        b = rows(eng.execute(TWO_PATTERN))
         assert a == b
+
+
+class TestNoProbe:
+    def test_plan_runs_no_job_once_counted(self, spark, tiny):
+        eng = AIQLEngine(spark, events=tiny)
+        eng.plan(TWO_PATTERN)  # computes the count table
+        before = jobs_started(spark)
+        eng.plan(OTHER_TWO_PATTERN)
+        eng.execute(TWO_PATTERN)  # lazy: builds the plan, runs nothing
+        assert jobs_started(spark) == before
+
+    def test_counts_once_per_store_until_write(self, spark, tiny, tmp_path):
+        store = EventStore(spark, tmp_path)
+        store.write(tiny)
+        table = store.event_counts()
+        before = jobs_started(spark)
+        AIQLEngine(spark, store=store).plan(TWO_PATTERN)
+        AIQLEngine(spark, store=store).plan(OTHER_TWO_PATTERN)
+        assert jobs_started(spark) == before
+        assert store.event_counts() is table
+        store.write(tiny)
+        assert store.event_counts() is not table

@@ -192,18 +192,73 @@ class TestBackslashStrings:
         assert_same_rows(run_baseline(spark, text, events).toPandas(), want)
 
 
+@pytest.fixture(scope="module")
+def underscore_pdf():
+    """A file whose name has ``_`` where the other has another character:
+    only the reading of ``_`` as a LIKE wildcard matches both."""
+    t = DAY0
+    return make_events([
+        file_ev(1, t + 1_000, "write", "b1", "curl", "/tmp/info_stealer"),
+        file_ev(1, t + 2_000, "write", "b1", "curl", "/tmp/infoXstealer"),
+        file_ev(1, t + 3_000, "write", "c1", "wget", "c:\\info_stealer"),
+    ])
+
+
+class TestUnderscoreStrings:
+    """``_`` in an AIQL string matches only itself: the engine, the Spark
+    baseline and DuckDB return exactly the rows with a literal ``_``."""
+
+    @pytest.mark.parametrize("q, want", [
+        ('proc p write file f["%info_stealer%"] as e1\nreturn p, f',
+         {("curl", "/tmp/info_stealer"), ("wget", "c:\\info_stealer")}),
+        (r'proc p write file f["%\\info_%"] as e1' '\nreturn p, f',
+         {("wget", "c:\\info_stealer")}),
+        ('proc p["curl"] write file f[name != "%o_s%"] as e1\nreturn p, f',
+         {("curl", "/tmp/infoXstealer")}),
+    ], ids=["like", "like-after-backslash", "not-like"])
+    def test_engine_baseline_duckdb_agree(self, spark, underscore_pdf, q, want):
+        text = AT + q
+        events = spark.createDataFrame(underscore_pdf, schema=event_spark_schema())
+        duck = run_duckdb(oracle_sql(text), events=underscore_pdf)
+        assert set(duck.itertuples(index=False, name=None)) == want
+        assert_same_rows(AIQLEngine(spark, events=events).execute(text).toPandas(), duck)
+        assert_same_rows(run_baseline(spark, text, events).toPandas(), duck)
+
+
 class TestPlanAndScheduling:
     Q = (AT + 'proc p read file f as e1\n'
               'proc q["python"] write file f as e2\n'
               'with e1 before e2\nreturn p, q, f')
 
-    def test_counts_are_pattern_cardinalities(self, tiny_engine):
-        # in-day file reads: bash+python on /tmp/x, sh on /etc/passwd
+    def test_counts_bound_pattern_cardinalities(self, tiny_engine):
+        # in-day file reads: bash+python on /tmp/x, sh on /etc/passwd (3);
+        # in-day file writes: python, curl and sh (3), of which python's
+        # alone matches e2.
         p = tiny_engine.plan(self.Q)
-        assert p.counts == {"e1": 3, "e2": 1}
+        assert p.counts == {"e1": 3, "e2": 3}
+        assert {a: df.count() for a, df in p.dfs.items()} == {"e1": 3, "e2": 1}
 
     def test_most_selective_first(self, tiny_engine):
+        # Equal bounds: e2's extra subject predicate puts it first.
         assert tiny_engine.plan(self.Q).order == ["e2", "e1"]
+
+    def test_bound_breaks_predicate_count_tie(self, tiny_engine):
+        # Both patterns lower to four predicates; the bounds are 3 file
+        # reads and 1 delete in the query's day.
+        p = tiny_engine.plan(AT + 'proc p read file f as e1\n'
+                                  'proc q delete file f as e2\nreturn p, q')
+        assert p.counts == {"e1": 3, "e2": 1}
+        assert p.order == ["e2", "e1"]
+
+    def test_bounds_follow_agent_and_days(self, tiny_engine):
+        # agentid = 1 over two days: /tmp/x read by bash, python, and by
+        # python again the next day; one file write (python's), which the
+        # bound counts although bash's pattern matches none.
+        p = tiny_engine.plan('(from "04/10/2018" to "04/12/2018")\n'
+                             'agentid = 1\nproc p read file f as e1\n'
+                             'proc q["bash"] write file f as e2\nreturn p, q')
+        assert p.counts == {"e1": 3, "e2": 1}
+        assert p.dfs["e2"].count() == 0
 
     def test_driving_pattern_not_broadcast(self, tiny_engine):
         p = tiny_engine.plan(self.Q)

@@ -1,8 +1,19 @@
-"""EventStore tests: layout roundtrips and partition pruning."""
+"""EventStore tests: layout roundtrips, partition pruning and the event
+count table."""
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.monitor.storage import EventStore
+from repro.core.compiler import pattern_df
+from repro.core.dependency import analyze_text
+from repro.core.engine import AIQLEngine
+from repro.monitor.storage import EventCounts, EventStore
+from repro.workload.queries import QUERIES, query_by_name
 from tests.conftest import DAY0
+
+MULTI_PATTERN = [q.name for q in QUERIES
+                 if len(analyze_text(q.aiql).query.events) > 1]
 
 
 def plan_of(df) -> str:
@@ -72,11 +83,56 @@ class TestPruning:
 
 class TestEngineOverStore:
     def test_store_engine_equals_memory_engine(self, spark, store, engine):
-        from repro.core.engine import AIQLEngine
-        from repro.workload.queries import query_by_name
         text = query_by_name("q05_exfil_chain").aiql
         se = AIQLEngine(spark, store=store)
         a = {tuple(r) for r in se.execute(text).collect()}
         b = {tuple(r) for r in engine.execute(text).collect()}
         assert a == b == {("cmd.exe", "osql.exe", "/db/backup1.dmp",
                            "sbblv.exe", "202.87.66.129")}
+
+
+class TestEventCounts:
+    """The count table behind the scheduler's row bounds."""
+
+    def test_store_and_memory_tables_agree(self, spark, store, events):
+        table = store.event_counts()
+        assert table == AIQLEngine(spark, events=events).event_counts()
+        assert sum(table.values()) == events.count()
+
+    @pytest.mark.parametrize("name", MULTI_PATTERN)
+    def test_bounds_cover_pattern_rows(self, spark, store, name):
+        plan = AIQLEngine(spark, store=store).plan(query_by_name(name).aiql)
+        q = plan.analysis.query
+        src = store.events_partitioned(q.time_range, q.agentid)
+        for alias, bound in plan.counts.items():
+            assert bound >= pattern_df(src, plan.analysis, alias).count(), alias
+
+    def test_rewrite_refreshes_bounds(self, spark, tmp_path, tiny):
+        s = EventStore(spark, tmp_path)
+        s.write(tiny)
+        eng = AIQLEngine(spark, store=s)
+        q = ('(at "04/10/2018")\nproc p read file f as e1\n'
+             'proc q write file f as e2\nreturn p, q')
+        assert eng.plan(q).counts == {"e1": 3, "e2": 3}
+        s.write(tiny.filter("agentid = 1"))
+        assert eng.plan(q).counts == {"e1": 2, "e2": 1}
+
+    def test_concurrent_first_calls_count_once(self, tiny):
+        calls = []
+
+        def source():
+            calls.append(1)
+            return tiny
+
+        counts = EventCounts(source)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                tables = [f.result(timeout=120)
+                          for f in [pool.submit(counts) for _ in range(16)]]
+        finally:
+            sys.setswitchinterval(old)
+        assert len(calls) == 1
+        assert all(t is tables[0] for t in tables)
+        assert sum(tables[0].values()) == tiny.count()
