@@ -5,9 +5,10 @@ the implicit attribute relationships from shared variables (paper §2.2.1 —
 "Lines 4-5 specify the same f1 in both events"), validates operations against
 the data model, and lowers every bracket/global filter to predicates over the
 physical event-table columns. The result (:class:`Analysis`) is the single
-source of truth consumed by both the Spark compiler (``compiler.py``) and the
-equivalent-SQL synthesizer (``sqlgen.py``), which keeps the two provably
-aligned for the correctness oracle.
+source of truth lowered to SQL text once (``expr.py``), which both the
+engine (``compiler.py``, ``anomaly.py``) and the equivalent-SQL synthesizer
+(``sqlgen.py``) run, so the engine, the baseline and the correctness oracle
+read every predicate alike.
 """
 from __future__ import annotations
 
@@ -54,9 +55,40 @@ EVENT_ATTRS = {"amount": "amount", "ts": "ts", "op": "op",
 
 AGG_FUNCS = ("avg", "sum", "count", "min", "max")
 
+#: Words the synthesized SQL, and the engine that parses the same text, cannot
+#: take as an event alias or an output column name (compared ignoring case):
+#: DuckDB's 75 reserved keywords (``duckdb_keywords()``), plus the words that
+#: Spark's or DuckDB's parser reads as join syntax, an operator or a literal
+#: where an alias belongs. ``tests/test_frontend_errors.py`` checks that every
+#: other keyword of either parser works in both places.
+SQL_RESERVED = frozenset({
+    "all", "analyse", "analyze", "and", "anti", "any", "array", "as", "asc",
+    "asof", "asymmetric", "authorization", "binary", "both", "case", "cast",
+    "check", "collate", "collation", "column", "concurrently", "constraint",
+    "create", "cross", "default", "deferrable", "desc", "describe", "distinct",
+    "do", "else", "end", "except", "false", "fetch", "for", "foreign",
+    "freeze", "from", "full", "glob", "grant", "group", "having", "ilike",
+    "in", "initially", "inner", "intersect", "into", "is", "isnull", "join",
+    "lateral", "leading", "left", "like", "limit", "minus", "natural", "not",
+    "notnull", "null", "offset", "on", "only", "or", "order", "outer",
+    "overlaps", "pivot", "pivot_longer", "pivot_wider", "placing",
+    "positional", "primary", "qualify", "references", "returning", "right",
+    "select", "semi", "show", "similar", "some", "summarize", "symmetric",
+    "table", "tablesample", "then", "to", "trailing", "true", "union",
+    "unique", "unpivot", "using", "variadic", "verbose", "when", "where",
+    "window", "with",
+})
+
 
 class AIQLSemanticError(ValueError):
     """Query is syntactically valid but semantically ill-formed."""
+
+
+def _check_sql_name(name: str, what: str) -> None:
+    if name.lower() in SQL_RESERVED:
+        raise AIQLSemanticError(
+            f"{what} {name!r} is a reserved word of the synthesized SQL"
+        )
 
 
 # ------------------------------------------------------------- predicates
@@ -216,11 +248,17 @@ def analyze(q: Query) -> Analysis:
     for ev in q.events:
         if ev.alias in seen_alias:
             raise AIQLSemanticError(f"duplicate event alias {ev.alias!r}")
+        _check_sql_name(ev.alias, "event alias")
         seen_alias.add(ev.alias)
         if ev.subject.etype != "proc":
             raise AIQLSemanticError(
                 f"event {ev.alias!r}: subjects are processes in the data "
                 f"model, got {ev.subject.etype!r}"
+            )
+        if ev.subject.var == ev.object.var:
+            raise AIQLSemanticError(
+                f"event {ev.alias!r}: variable {ev.subject.var!r} is both "
+                "its subject and its object"
             )
         try:
             ana.event_etype[ev.alias] = etype_for(ev.op, ev.object.etype)
@@ -281,6 +319,13 @@ def analyze(q: Query) -> Analysis:
     return ana
 
 
+def _add_output_name(ana: Analysis, name: str) -> None:
+    _check_sql_name(name, "output column")
+    if name in ana.return_names:
+        raise AIQLSemanticError(f"duplicate output column {name!r}")
+    ana.return_names.append(name)
+
+
 def _analyze_multievent_return(ana: Analysis) -> None:
     q = ana.query
     for it in q.return_items:
@@ -290,9 +335,7 @@ def _analyze_multievent_return(ana: Analysis) -> None:
             )
         _, _, default_name = ana.resolve_ref(it.expr)
         name = it.alias or default_name
-        if name in ana.return_names:
-            raise AIQLSemanticError(f"duplicate output column {name!r}")
-        ana.return_names.append(name)
+        _add_output_name(ana, name)
 
 
 def _analyze_anomaly(ana: Analysis) -> None:
@@ -318,6 +361,9 @@ def _analyze_anomaly(ana: Analysis) -> None:
         if isinstance(it.expr, FuncCall):
             if it.expr.name not in AGG_FUNCS:
                 raise AIQLSemanticError(f"unknown aggregate {it.expr.name!r}")
+            n_args = len(it.expr.args)
+            if n_args > 1 or (n_args == 0 and it.expr.name != "count"):
+                raise AIQLSemanticError(f"{it.expr.name}() takes one attribute")
             for a in it.expr.args:
                 if not isinstance(a, AttrRef):
                     raise AIQLSemanticError("aggregate arguments must be attributes")
@@ -342,9 +388,7 @@ def _analyze_anomaly(ana: Analysis) -> None:
             name = it.alias or default_name
         else:
             raise AIQLSemanticError("unsupported return item in anomaly query")
-        if name in ana.return_names:
-            raise AIQLSemanticError(f"duplicate output column {name!r}")
-        ana.return_names.append(name)
+        _add_output_name(ana, name)
     if not ana.agg_aliases:
         raise AIQLSemanticError("anomaly query returns no aggregate")
     if q.having is not None:

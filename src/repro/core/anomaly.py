@@ -13,6 +13,10 @@ nothing. An empty frame gives NULL and the ``having`` comparison rejects the
 row. A group whose key has a NULL column has no history at all, because the
 synthesized SQL (``sqlgen.py``) resolves ``amt[k]`` with an equi-join that
 never matches NULL keys; the DuckDB oracle verifies both rules.
+
+The window ids and the aggregates are SQL text (:func:`window_sql`,
+:func:`agg_sql`), written once for both the synthesized SQL and the engine,
+which parses it with ``F.expr``.
 """
 from __future__ import annotations
 
@@ -22,12 +26,9 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.analyzer import DEFAULT_ATTR, Analysis
-from repro.core.ast import AttrRef, FuncCall
+from repro.core.ast import FuncCall
 from repro.core.compiler import pattern_filter
-from repro.core.expr import to_column
-
-_AGG_FN = {"avg": F.avg, "sum": F.sum, "count": F.count,
-           "min": F.min, "max": F.max}
+from repro.core.expr import to_sql
 
 
 def group_cols(ana: Analysis) -> list[str]:
@@ -53,18 +54,6 @@ def group_cols(ana: Analysis) -> list[str]:
     return cols
 
 
-def agg_expr(name: str, fc: FuncCall, ana: Analysis):
-    """One aggregate return item → a Spark aggregate expression."""
-    if not fc.args:
-        if fc.name != "count":
-            raise ValueError(f"{fc.name}() needs an argument")
-        return F.count(F.lit(1)).alias(name)
-    ref = fc.args[0]
-    assert isinstance(ref, AttrRef)
-    _, col, _ = ana.resolve_ref(ref)
-    return _AGG_FN[fc.name](F.col(col)).alias(name)
-
-
 def window_bounds(ana: Analysis):
     """(t0, window, step, kmax): window k covers [t0 + k*step, +window)."""
     q = ana.query
@@ -73,30 +62,43 @@ def window_bounds(ana: Analysis):
     return t0, q.window_ms, q.step_ms, kmax
 
 
+def window_sql(ana: Analysis, dialect: str = "spark") -> tuple[str, str]:
+    """SQL text over ``ts`` for the sliding windows: the condition that some
+    window holds the event, and the expression that explodes the event into
+    the ids ``lo..hi`` of every window holding it."""
+    t0, w, s, kmax = window_bounds(ana)
+    lo = (f"GREATEST(CAST(0 AS BIGINT), "
+          f"CAST(FLOOR((ts - {t0} - {w}) / {s}) AS BIGINT) + 1)")
+    hi = (f"LEAST(CAST({kmax} AS BIGINT), "
+          f"CAST(FLOOR((ts - {t0}) / {s}) AS BIGINT))")
+    ids = "explode(sequence" if dialect == "spark" else "unnest(generate_series"
+    return f"{lo} <= {hi}", f"{ids}({lo}, {hi}))"
+
+
+def agg_sql(ana: Analysis) -> list[str]:
+    """Each aggregate return item as SQL text, ``FN(col) AS name``."""
+    out = []
+    for name, fc in ana.agg_aliases.items():
+        if not fc.args:
+            out.append(f"COUNT(*) AS {name}")
+        else:
+            _, col, _ = ana.resolve_ref(fc.args[0])
+            out.append(f"{fc.name.upper()}({col}) AS {name}")
+    return out
+
+
 def run(events: DataFrame, ana: Analysis) -> DataFrame:
     """Execute the analyzed anomaly query over the (possibly store-pruned)
     event DataFrame."""
     q = ana.query
     alias = q.events[0].alias
-    t0, w, s, kmax = window_bounds(ana)
-    df = events.filter(pattern_filter(ana.pattern_preds[alias]))
-    lo = F.greatest(
-        F.lit(0).cast("long"),
-        (F.floor((F.col("ts") - F.lit(t0) - F.lit(w)) / F.lit(s)) + 1).cast("long"),
-    )
-    hi = F.least(
-        F.lit(kmax).cast("long"),
-        F.floor((F.col("ts") - F.lit(t0)) / F.lit(s)).cast("long"),
-    )
-    df = (
-        df.withColumn("__lo", lo)
-        .withColumn("__hi", hi)
-        .filter(F.col("__lo") <= F.col("__hi"))
-        .withColumn("wid", F.explode(F.sequence(F.col("__lo"), F.col("__hi"))))
-    )
+    in_window, window_ids = window_sql(ana)
     gcols = group_cols(ana)
-    aggs = [agg_expr(n, fc, ana) for n, fc in ana.agg_aliases.items()]
-    agg = df.groupBy(*(["wid"] + gcols)).agg(*aggs)
+    agg = (events.filter(pattern_filter(ana.pattern_preds[alias]))
+           .filter(F.expr(in_window))
+           .selectExpr("*", f"{window_ids} AS wid")
+           .groupBy("wid", *gcols)
+           .agg(*[F.expr(a) for a in agg_sql(ana)]))
     # Historical aggregate access: same group, k windows earlier. Groups
     # with a NULL key column get no history, as in the equi-join SQL.
     if ana.hist_ks:
@@ -109,12 +111,11 @@ def run(events: DataFrame, ana: Analysis) -> DataFrame:
             for k in ana.hist_ks for n in ana.agg_aliases])
 
     if q.having is not None:
-        cond = to_column(
+        agg = agg.filter(F.expr(to_sql(
             q.having,
-            resolve_name=lambda n: F.col(n),
-            resolve_hist=lambda n, k: F.col(f"__h{k}__{n}"),
-        )
-        agg = agg.filter(cond)
+            resolve_name=lambda n: n,
+            resolve_hist=lambda n, k: f"__h{k}__{n}",
+        )))
 
     out_cols = []
     for it, name in zip(q.return_items, ana.return_names):

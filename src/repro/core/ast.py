@@ -6,8 +6,8 @@ Two layers of nodes:
   :class:`EntityPattern`, :class:`TemporalConstraint`, :class:`ReturnItem`;
 * *expressions* — used in entity filters (:class:`Comparison`) and in the
   ``having`` clause (:class:`BinOp` trees over :class:`AttrRef` /
-  :class:`HistRef` / :class:`Literal`), compiled by ``repro.core.expr``
-  both to Spark ``Column`` s and to SQL text.
+  :class:`HistRef` / :class:`Literal`), rendered as SQL text by
+  ``repro.core.expr``.
 """
 from __future__ import annotations
 

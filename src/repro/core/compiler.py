@@ -2,61 +2,32 @@
 
 The engine does *not* hand Catalyst one big join soup (that is the baseline,
 ``baseline.py``). Instead — per paper §2.3 — it synthesizes one data query
-per event pattern (a pruned, prefixed scan) and folds them into a left-deep
-join in the order chosen by the pruning-power scheduler, broadcasting sides
-whose row bound is small.
+per event pattern (a pruned scan under the pattern's event alias) and folds
+them into a left-deep join in the order chosen by the pruning-power
+scheduler, broadcasting sides whose row bound is small. Every filter and
+join condition is the spark-dialect SQL text of ``expr``, the text the
+synthesized big SQL is built from, parsed by ``F.expr``.
 """
 from __future__ import annotations
 
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.analyzer import Analysis, OrGroup, Pred
-from repro.core.expr import SPARK_CMP, like_pattern
-
-
-def pred_to_column(p) -> Column:
-    """One lowered predicate → a Spark filter ``Column`` over raw columns."""
-    if isinstance(p, OrGroup):
-        out = None
-        for sub in p.preds:
-            c = pred_to_column(sub)
-            out = c if out is None else (out | c)
-        return out
-    assert isinstance(p, Pred)
-    c = F.col(p.col)
-    if p.op == "like":
-        return c.like(like_pattern(p.value))
-    if p.op == "not like":
-        return ~c.like(like_pattern(p.value))
-    return SPARK_CMP[p.op](c, F.lit(p.value))
+from repro.core.analyzer import Analysis
+from repro.core.expr import link_sql, pred_sql
 
 
 def pattern_filter(preds: list) -> Column:
     """AND of all lowered predicates of one event pattern."""
-    out = None
-    for p in preds:
-        c = pred_to_column(p)
-        out = c if out is None else (out & c)
-    return out if out is not None else F.lit(True)
+    return F.expr(" AND ".join(pred_sql(p) for p in preds) or "TRUE")
 
 
 def pattern_df(events: DataFrame, ana: Analysis, alias: str) -> DataFrame:
-    """The synthesized data query for one event pattern: pruned scan with
-    every column prefixed ``<alias>__`` so N patterns can join without
-    name collisions."""
-    df = events.filter(pattern_filter(ana.pattern_preds[alias]))
-    return df.select([F.col(c).alias(f"{alias}__{c}") for c in df.columns])
-
-
-def temporal_condition(tc) -> Column:
-    """``with a before b [within d]`` → timestamp predicate over prefixed
-    columns."""
-    l, r = (tc.left, tc.right) if tc.rel == "before" else (tc.right, tc.left)
-    cond = F.col(f"{l}__ts") < F.col(f"{r}__ts")
-    if tc.within_ms is not None:
-        cond = cond & (F.col(f"{r}__ts") - F.col(f"{l}__ts") <= F.lit(tc.within_ms))
-    return cond
+    """The synthesized data query for one event pattern: a pruned scan
+    whose columns are qualified by the event alias (``e1.ts``), as in the
+    big SQL's ``FROM events e1``, so N patterns join without name
+    collisions."""
+    return events.filter(pattern_filter(ana.pattern_preds[alias])).alias(alias)
 
 
 def join_multievent(
@@ -73,40 +44,29 @@ def join_multievent(
     """
     placed = {order[0]}
     joined = pattern_dfs[order[0]]
-    pending_joins = list(ana.join_conds)
-    pending_temporal = list(ana.query.temporal)
+    pending = link_sql(ana)
     for alias in order[1:]:
         nxt = pattern_dfs[alias]
         if alias in broadcast:
             nxt = F.broadcast(nxt)
         placed.add(alias)
-        conds: list[Column] = []
-        for jc in list(pending_joins):
-            a1, c1, a2, c2 = jc
-            if a1 in placed and a2 in placed:
-                conds.append(F.col(f"{a1}__{c1}") == F.col(f"{a2}__{c2}"))
-                pending_joins.remove(jc)
-        for tc in list(pending_temporal):
-            if tc.left in placed and tc.right in placed:
-                conds.append(temporal_condition(tc))
-                pending_temporal.remove(tc)
-        if conds:
-            on = conds[0]
-            for c in conds[1:]:
-                on = on & c
-            joined = joined.join(nxt, on=on, how="inner")
+        on = [cond for sides, cond in pending if placed.issuperset(sides)]
+        pending = [(sides, cond) for sides, cond in pending
+                   if not placed.issuperset(sides)]
+        if on:
+            joined = joined.join(nxt, on=F.expr(" AND ".join(on)), how="inner")
         else:
             joined = joined.crossJoin(nxt)
-    assert not pending_joins and not pending_temporal
+    assert not pending
     return joined
 
 
 def project_return(joined: DataFrame, ana: Analysis) -> DataFrame:
-    """Apply the return clause: resolve each item to its prefixed column,
-    alias to the output name, and deduplicate if ``distinct``."""
+    """Apply the return clause: resolve each item to its alias-qualified
+    column, alias to the output name, and deduplicate if ``distinct``."""
     cols = []
     for it, name in zip(ana.query.return_items, ana.return_names):
         alias, col, _ = ana.resolve_ref(it.expr)
-        cols.append(F.col(f"{alias}__{col}").alias(name))
+        cols.append(F.col(f"{alias}.{col}").alias(name))
     out = joined.select(cols)
     return out.distinct() if ana.query.distinct else out

@@ -1,57 +1,32 @@
-"""Expression compilation: AIQL ``having`` trees → Spark ``Column`` s and
-SQL text.
+"""SQL text for the pieces of a lowered AIQL query.
 
-Both backends share one traversal parametrized by name-resolution
-callables, so the engine and the synthesized SQL are structurally forced to
-agree on semantics (the correctness oracle then verifies it).
+This is the one lowering of an :class:`~repro.core.analyzer.Analysis`:
+pattern predicates, the cross-pattern join and temporal conditions, and
+``having`` trees, each written by exactly one function here. The
+synthesized big SQL (``sqlgen``) assembles them into one statement; the
+engine (``compiler``, ``anomaly``) parses the same spark-dialect text with
+``F.expr``, so the engine, the Spark baseline and the DuckDB oracle cannot
+disagree on how a predicate reads (the oracle then verifies the plans).
+
+AIQL strings are literal except for the ``%`` wildcard. A LIKE pattern
+escapes ``\\`` and ``_`` with ``\\`` (:func:`like_pattern`), the default
+LIKE escape of Spark and PostgreSQL; DuckDB has none by default, so its
+text names it (``ESCAPE '\\'``) wherever a pattern uses it. Spark SQL also
+reads a backslash in any string literal as an escape, so the ``spark``
+dialect doubles backslashes once more (:func:`sql_quote`); the DuckDB and
+PostgreSQL texts write literals as they are.
 """
 from __future__ import annotations
 
-import operator
 from typing import Callable
 
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-
+from repro.core.analyzer import Analysis, OrGroup, Pred
 from repro.core.ast import AttrRef, BinOp, HistRef, Literal, UnaryOp
 
-# Comparison operators on Spark ``Column`` s, shared with the per-pattern
-# filters in ``compiler``.
-SPARK_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_SPARK_BINOPS = {**SPARK_CMP, "or": operator.or_, "and": operator.and_,
-                 "+": operator.add, "-": operator.sub, "*": operator.mul,
-                 "/": operator.truediv}
-
 # AIQL operators whose SQL spelling differs; every other operator is
-# written as is. Shared with the pattern predicates in ``sqlgen``.
+# written as is.
 SQL_OPS = {"!=": "<>", "like": "LIKE", "not like": "NOT LIKE",
            "or": "OR", "and": "AND"}
-
-
-# ------------------------------------------------------------------ Spark
-def to_column(
-    e,
-    resolve_name: Callable[[str], Column],
-    resolve_hist: Callable[[str, int], Column],
-) -> Column:
-    """Compile an expression to a Spark ``Column``."""
-    if isinstance(e, Literal):
-        return F.lit(e.value)
-    if isinstance(e, AttrRef):
-        if e.var is not None:
-            raise ValueError(f"unresolved attribute {e.var}.{e.attr}")
-        return resolve_name(e.attr)
-    if isinstance(e, HistRef):
-        return resolve_hist(e.name, e.k)
-    if isinstance(e, UnaryOp):
-        c = to_column(e.operand, resolve_name, resolve_hist)
-        return ~c if e.op == "not" else -c
-    if isinstance(e, BinOp):
-        l = to_column(e.left, resolve_name, resolve_hist)
-        r = to_column(e.right, resolve_name, resolve_hist)
-        return _SPARK_BINOPS[e.op](l, r)
-    raise ValueError(f"cannot compile expression node {e!r}")
 
 
 def like_pattern(v: str) -> str:
@@ -61,23 +36,59 @@ def like_pattern(v: str) -> str:
     return v.replace("\\", "\\\\").replace("_", "\\_")
 
 
-# -------------------------------------------------------------------- SQL
-def sql_quote(v) -> str:
-    """Render a literal for SQL text (portable across Spark/DuckDB)."""
+def sql_quote(v, dialect: str = "spark") -> str:
+    """Render a literal for SQL text in ``dialect``."""
     if isinstance(v, str):
+        if dialect == "spark":
+            v = v.replace("\\", "\\\\")
         return "'" + v.replace("'", "''") + "'"
     return repr(v) if isinstance(v, float) else str(v)
+
+
+def pred_sql(p, prefix: str = "", dialect: str = "spark") -> str:
+    """One lowered predicate (or OR group) over the columns
+    ``<prefix><col>``."""
+    if isinstance(p, OrGroup):
+        return "(" + " OR ".join(pred_sql(s, prefix, dialect) for s in p.preds) + ")"
+    assert isinstance(p, Pred)
+    v, escape = p.value, ""
+    if p.op in ("like", "not like"):
+        v = like_pattern(p.value)
+        if dialect == "duckdb" and v != p.value:
+            escape = " ESCAPE '\\'"
+    return f"{prefix}{p.col} {SQL_OPS.get(p.op, p.op)} {sql_quote(v, dialect)}{escape}"
+
+
+def temporal_sql(tc) -> str:
+    """``with a before b [within d]`` over the alias-qualified ``ts``
+    columns."""
+    l, r = (tc.left, tc.right) if tc.rel == "before" else (tc.right, tc.left)
+    cond = f"{l}.ts < {r}.ts"
+    if tc.within_ms is not None:
+        cond += f" AND {r}.ts - {l}.ts <= {tc.within_ms}"
+    return cond
+
+
+def link_sql(ana: Analysis) -> list[tuple[tuple[str, str], str]]:
+    """Every cross-pattern condition of a multievent query, with the two
+    event aliases it relates: the shared-variable uid equalities, then the
+    temporal constraints."""
+    links = [((a1, a2), f"{a1}.{c1} = {a2}.{c2}")
+             for a1, c1, a2, c2 in ana.join_conds]
+    return links + [((tc.left, tc.right), temporal_sql(tc))
+                    for tc in ana.query.temporal]
 
 
 def to_sql(
     e,
     resolve_name: Callable[[str], str],
     resolve_hist: Callable[[str, int], str],
+    dialect: str = "spark",
 ) -> str:
-    """Render an expression as SQL text (parenthesized — conciseness metrics
-    count predicates, not parens)."""
+    """Render a ``having`` expression as SQL text (parenthesized —
+    conciseness metrics count predicates, not parens)."""
     if isinstance(e, Literal):
-        return sql_quote(e.value)
+        return sql_quote(e.value, dialect)
     if isinstance(e, AttrRef):
         if e.var is not None:
             raise ValueError(f"unresolved attribute {e.var}.{e.attr}")
@@ -85,10 +96,10 @@ def to_sql(
     if isinstance(e, HistRef):
         return resolve_hist(e.name, e.k)
     if isinstance(e, UnaryOp):
-        inner = to_sql(e.operand, resolve_name, resolve_hist)
+        inner = to_sql(e.operand, resolve_name, resolve_hist, dialect)
         return f"(NOT {inner})" if e.op == "not" else f"(-{inner})"
     if isinstance(e, BinOp):
-        l = to_sql(e.left, resolve_name, resolve_hist)
-        r = to_sql(e.right, resolve_name, resolve_hist)
+        l = to_sql(e.left, resolve_name, resolve_hist, dialect)
+        r = to_sql(e.right, resolve_name, resolve_hist, dialect)
         return f"({l} {SQL_OPS.get(e.op, e.op)} {r})"
     raise ValueError(f"cannot render expression node {e!r}")

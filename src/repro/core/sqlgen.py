@@ -10,37 +10,21 @@ three roles:
 * the **correctness oracle** input executed by DuckDB,
 * the **conciseness** comparison corpus (Table B).
 
-AIQL strings are literal except for the ``%`` wildcard. A LIKE pattern
-escapes ``\\`` and ``_`` with ``\\`` (``expr.like_pattern``), the default
-LIKE escape of Spark and PostgreSQL; DuckDB has none by default, so its
-text names it (``ESCAPE '\\'``) wherever a pattern uses it. Spark SQL also
-reads a backslash in any string literal as an escape, so the ``spark``
-dialect doubles backslashes once more; the DuckDB and PostgreSQL texts
-write literals as they are. Otherwise multievent SQL is dialect-portable,
-and anomaly SQL differs only in the array-explosion idiom (Spark
-``explode(sequence(...))`` vs DuckDB/PostgreSQL
-``unnest(generate_series(...))``).
+Every piece of the text — pattern predicates, join and temporal
+conditions, ``having`` (``expr``), window ids and aggregates
+(``anomaly``) — comes from the function the engine also parses with
+``F.expr``; this module only assembles it. Multievent SQL is
+dialect-portable except for literals (``expr.sql_quote``) and the LIKE
+escape clause DuckDB needs; anomaly SQL differs also in the
+array-explosion idiom (Spark ``explode(sequence(...))`` vs
+DuckDB/PostgreSQL ``unnest(generate_series(...))``).
 """
 from __future__ import annotations
 
-from repro.core.analyzer import Analysis, OrGroup, Pred
-from repro.core.anomaly import group_cols, window_bounds
-from repro.core.ast import AttrRef, FuncCall
-from repro.core.expr import SQL_OPS, like_pattern, sql_quote, to_sql
-
-
-def _pred_sql(p, prefix: str, dialect: str) -> str:
-    if isinstance(p, OrGroup):
-        return "(" + " OR ".join(_pred_sql(s, prefix, dialect) for s in p.preds) + ")"
-    assert isinstance(p, Pred)
-    v, escape = p.value, ""
-    if p.op in ("like", "not like"):
-        v = like_pattern(p.value)
-        if dialect == "duckdb" and v != p.value:
-            escape = " ESCAPE '\\'"
-    if dialect == "spark" and isinstance(v, str):
-        v = v.replace("\\", "\\\\")
-    return f"{prefix}{p.col} {SQL_OPS.get(p.op, p.op)} {sql_quote(v)}{escape}"
+from repro.core.analyzer import Analysis
+from repro.core.anomaly import agg_sql, group_cols, window_sql
+from repro.core.ast import FuncCall
+from repro.core.expr import link_sql, pred_sql, to_sql
 
 
 # ------------------------------------------------------------- multievent
@@ -60,15 +44,8 @@ def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events")
     # Each cross-pattern condition attaches to the ON clause of the later
     # (in declaration order) of its two patterns.
     on: dict[str, list[str]] = {a: [] for a in aliases}
-    for a1, c1, a2, c2 in ana.join_conds:
-        later = a2 if pos[a2] > pos[a1] else a1
-        on[later].append(f"{a1}.{c1} = {a2}.{c2}")
-    for tc in q.temporal:
-        l, r = (tc.left, tc.right) if tc.rel == "before" else (tc.right, tc.left)
-        later = max(tc.left, tc.right, key=pos.get)
-        on[later].append(f"{l}.ts < {r}.ts")
-        if tc.within_ms is not None:
-            on[later].append(f"{r}.ts - {l}.ts <= {tc.within_ms}")
+    for sides, cond in link_sql(ana):
+        on[max(sides, key=pos.get)].append(cond)
 
     frm = [f"FROM {table} {aliases[0]}"]
     for a in aliases[1:]:
@@ -79,7 +56,7 @@ def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events")
 
     where: list[str] = []
     for a in aliases:
-        where += [_pred_sql(p, f"{a}.", dialect) for p in ana.pattern_preds[a]]
+        where += [pred_sql(p, f"{a}.", dialect) for p in ana.pattern_preds[a]]
     distinct = "DISTINCT " if q.distinct else ""
     return (
         f"SELECT {distinct}{', '.join(sel)}\n"
@@ -96,27 +73,10 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") ->
         raise ValueError(f"unknown dialect {dialect!r}")
     q = ana.query
     alias = q.events[0].alias
-    t0, w, s, kmax = window_bounds(ana)
-    preds = " AND ".join(_pred_sql(p, "", dialect) for p in ana.pattern_preds[alias])
-    lo = (f"GREATEST(CAST(0 AS BIGINT), "
-          f"CAST(FLOOR((ts - {t0} - {w}) / {s}) AS BIGINT) + 1)")
-    hi = (f"LEAST(CAST({kmax} AS BIGINT), "
-          f"CAST(FLOOR((ts - {t0}) / {s}) AS BIGINT))")
-    if dialect == "spark":
-        expl = f"explode(sequence({lo}, {hi}))"
-    else:
-        expl = f"unnest(generate_series({lo}, {hi}))"
+    preds = " AND ".join(pred_sql(p, "", dialect) for p in ana.pattern_preds[alias])
+    in_window, window_ids = window_sql(ana, dialect)
     gcols = group_cols(ana)
     gsel = "".join(f"{c}, " for c in gcols)
-    aggs = []
-    for name, fc in ana.agg_aliases.items():
-        if not fc.args:
-            aggs.append(f"COUNT(*) AS {name}")
-        else:
-            arg = fc.args[0]
-            assert isinstance(arg, AttrRef)
-            _, c, _ = ana.resolve_ref(arg)
-            aggs.append(f"{fc.name.upper()}({c}) AS {name}")
     joins = []
     for k in ana.hist_ks:
         on = [f"h{k}.{c} = a.{c}" for c in gcols] + [f"h{k}.wid = a.wid - {k}"]
@@ -134,6 +94,7 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") ->
             q.having,
             resolve_name=lambda n: f"a.{n}",
             resolve_hist=lambda n, k: f"h{k}.{n}",
+            dialect=dialect,
         )
         having = f"\nWHERE {cond}"
     distinct = "DISTINCT " if q.distinct else ""
@@ -141,9 +102,9 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") ->
         f"WITH src AS (\n"
         f"  SELECT * FROM {table} WHERE {preds}\n"
         f"), win AS (\n"
-        f"  SELECT *, {expl} AS wid FROM src WHERE {lo} <= {hi}\n"
+        f"  SELECT *, {window_ids} AS wid FROM src WHERE {in_window}\n"
         f"), agg AS (\n"
-        f"  SELECT wid, {gsel}{', '.join(aggs)} FROM win\n"
+        f"  SELECT wid, {gsel}{', '.join(agg_sql(ana))} FROM win\n"
         f"  GROUP BY wid{''.join(', ' + c for c in gcols)}\n"
         f")\n"
         f"SELECT {distinct}{', '.join(sel)}\n"

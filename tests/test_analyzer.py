@@ -39,6 +39,11 @@ class TestBinding:
         with pytest.raises(AIQLSemanticError, match="duplicate event alias"):
             ana('proc p read file f as e1\nproc q read file f as e1\nreturn p')
 
+    @pytest.mark.parametrize("alias", ["select", "JOIN", "on", "null"])
+    def test_reserved_alias_raises(self, alias):
+        with pytest.raises(AIQLSemanticError, match="reserved"):
+            ana(f'proc p read file f as {alias}\nreturn p')
+
     def test_var_alias_collision_raises(self):
         with pytest.raises(AIQLSemanticError, match="collides"):
             ana('proc p read file f as e1\nproc e1 read file f as e2\nreturn p')
@@ -158,6 +163,10 @@ class TestReturnResolution:
         with pytest.raises(AIQLSemanticError, match="duplicate output"):
             ana('proc p read file f as e1\nreturn p, f as p')
 
+    def test_reserved_output_name_raises(self):
+        with pytest.raises(AIQLSemanticError, match="reserved"):
+            ana('proc p read file f as e1\nreturn p as true')
+
     def test_object_pid_not_recorded(self):
         with pytest.raises(AIQLSemanticError, match="not defined"):
             ana('proc p start proc q as e1\nreturn q.pid')
@@ -205,6 +214,14 @@ class TestAnomalyValidation:
         with pytest.raises(AIQLSemanticError, match="unknown aggregate"):
             ana('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
                 'proc p write ip i as e\nreturn p, median(e.amount) as m\ngroup by p')
+
+    def test_aggregate_arity(self):
+        a = ana('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+                'proc p write ip i as e\nreturn count() as n')
+        assert a.return_names == ["n"]
+        with pytest.raises(AIQLSemanticError, match="takes one attribute"):
+            ana('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+                'proc p write ip i as e\nreturn sum(e.amount, e.ts) as s')
 
     def test_hist_on_non_agg_raises(self):
         with pytest.raises(AIQLSemanticError, match="aggregate alias"):

@@ -1,5 +1,6 @@
-"""Pattern-compiler tests: predicate columns, prefixed scans, temporal
-conditions, projection."""
+"""Pattern-compiler tests: pattern filters, alias-qualified scans, temporal
+conditions, projection. Filters and conditions are the spark-dialect SQL
+text of ``expr``, so each test checks what Spark makes of that text."""
 import pytest
 from pyspark.sql import functions as F
 
@@ -9,10 +10,9 @@ from repro.core.compiler import (
     join_multievent,
     pattern_df,
     pattern_filter,
-    pred_to_column,
     project_return,
-    temporal_condition,
 )
+from repro.core.expr import temporal_sql
 from repro.core.parser import parse
 
 DAY0 = 1523318400000
@@ -22,22 +22,29 @@ def ana(text):
     return analyze(parse(text))
 
 
+def matches(df, p) -> int:
+    """Rows of ``df`` that the pattern filter of predicate ``p`` keeps."""
+    return df.filter(pattern_filter([p])).count()
+
+
 class TestPredToColumn:
+    """One lowered predicate through ``pattern_filter``."""
+
     @pytest.fixture(scope="class")
     def df(self, spark, tiny):
         return tiny
 
     def test_eq(self, df):
-        assert df.filter(pred_to_column(Pred("s_name", "=", "bash"))).count() \
+        assert matches(df, Pred("s_name", "=", "bash")) \
             == df.filter(F.col("s_name") == "bash").count()
 
     def test_like(self, df):
-        n = df.filter(pred_to_column(Pred("o_name", "like", "/tmp/%"))).count()
+        n = matches(df, Pred("o_name", "like", "/tmp/%"))
         assert n == df.filter(F.col("o_name").like("/tmp/%")).count() > 0
 
     def test_not_like_excludes_nulls(self, df):
         """NOT LIKE keeps SQL three-valued logic: NULL o_name rows drop."""
-        n = df.filter(pred_to_column(Pred("o_name", "not like", "/tmp/%"))).count()
+        n = matches(df, Pred("o_name", "not like", "/tmp/%"))
         manual = df.filter(F.col("o_name").isNotNull()
                            & ~F.col("o_name").like("/tmp/%")).count()
         assert n == manual
@@ -47,13 +54,13 @@ class TestPredToColumn:
         ("!=", "__ne__"),
     ])
     def test_ordering_ops(self, df, op, cnt_op):
-        got = df.filter(pred_to_column(Pred("amount", op, 100))).count()
+        got = matches(df, Pred("amount", op, 100))
         want = df.filter(getattr(F.col("amount"), cnt_op)(100)).count()
         assert got == want
 
     def test_or_group(self, df):
         og = OrGroup((Pred("s_name", "=", "bash"), Pred("s_name", "=", "curl")))
-        assert df.filter(pred_to_column(og)).count() == \
+        assert matches(df, og) == \
             df.filter(F.col("s_name").isin("bash", "curl")).count()
 
     def test_empty_filter_is_true(self, df):
@@ -61,43 +68,49 @@ class TestPredToColumn:
 
 
 class TestPatternDf:
-    def test_prefixes_all_columns(self, tiny):
+    def test_alias_qualifies_columns(self, tiny):
         a = ana('proc p read file f as e1\nreturn p')
         df = pattern_df(tiny, a, "e1")
-        assert all(c.startswith("e1__") for c in df.columns)
-        assert "e1__s_name" in df.columns
+        assert df.columns == tiny.columns
+        assert df.select("e1.s_name").columns == ["s_name"]
 
     def test_applies_filters(self, tiny):
         a = ana('proc p["bash"] read file f as e1\nreturn p')
         rows = pattern_df(tiny, a, "e1").collect()
-        assert all(r["e1__s_name"] == "bash" for r in rows)
+        assert all(r["s_name"] == "bash" for r in rows)
         assert len(rows) == 1  # only the t+500 bash file read
 
     def test_etype_op_pruning(self, tiny):
         a = ana('proc p start proc q as e1\nreturn p')
         rows = pattern_df(tiny, a, "e1").collect()
-        assert {r["e1__op"] for r in rows} == {"start"}
+        assert {r["op"] for r in rows} == {"start"}
+
+
+def ts_pairs(spark, *pairs):
+    """One row per ``(a.ts, b.ts)`` pair, under the event aliases a and b."""
+    df = spark.createDataFrame([(i, a, b) for i, (a, b) in enumerate(pairs)],
+                               "i int, a long, b long")
+    return (df.selectExpr("i", "a AS ts").alias("a")
+            .join(df.selectExpr("i", "b AS ts").alias("b"), F.expr("a.i = b.i")))
 
 
 class TestTemporalCondition:
     def test_before(self, spark):
-        df = spark.createDataFrame([{"a__ts": 1, "b__ts": 2},
-                                    {"a__ts": 3, "b__ts": 2}])
         tc = TemporalConstraint("a", "before", "b")
-        assert df.filter(temporal_condition(tc)).count() == 1
+        assert ts_pairs(spark, (1, 2), (3, 2)).filter(
+            F.expr(temporal_sql(tc))).count() == 1
 
     def test_after_swaps(self, spark):
-        df = spark.createDataFrame([{"a__ts": 1, "b__ts": 2},
-                                    {"a__ts": 3, "b__ts": 2}])
         tc = TemporalConstraint("a", "after", "b")
-        assert df.filter(temporal_condition(tc)).count() == 1
+        got = ts_pairs(spark, (1, 2), (3, 2)).filter(
+            F.expr(temporal_sql(tc))).select("a.ts").collect()
+        assert [r["ts"] for r in got] == [3]
 
     def test_within(self, spark):
-        df = spark.createDataFrame([{"a__ts": 0, "b__ts": 500},
-                                    {"a__ts": 0, "b__ts": 5000}])
         tc = TemporalConstraint("a", "before", "b", within_ms=1000)
-        got = df.filter(temporal_condition(tc)).collect()
-        assert len(got) == 1 and got[0]["b__ts"] == 500
+        got = ts_pairs(spark, (0, 500), (0, 5000)).filter(
+            F.expr(temporal_sql(tc))).select("b.ts").collect()
+        assert [r["ts"] for r in got] == [500]
 
 
 class TestJoinAndProject:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baseline import oracle_sql
+from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
 from repro.monitor.schema import event_spark_schema
 from repro.oracle import assert_same_rows, run_duckdb
@@ -192,6 +192,18 @@ class TestOracleAgreement:
         want = run_duckdb(oracle_sql(text), events=mixed_pdf)
         assert len(want) > 0
         assert_same_rows(got, want)
+
+    def test_backslash_literal_in_having(self, spark, win_engine, win_pdf):
+        """A string literal in ``having`` is quoted for each dialect, as
+        pattern filters are: the engine, the Spark baseline and DuckDB all
+        read ``"a\\\\"`` as ``a\\``."""
+        text = q('proc p write ip i as e\nreturn p, avg(e.amount) as amt\n'
+                 'group by p\n' r'having amt > 0 and "a\\" = "a\\"')
+        want = run_duckdb(oracle_sql(text), events=win_pdf)
+        assert len(want) > 0
+        assert_same_rows(win_engine.execute(text).toPandas(), want)
+        assert_same_rows(
+            run_baseline(spark, text, win_engine.events).toPandas(), want)
 
     def test_workload_anomaly_on_trace(self, engine, events_pdf):
         from repro.workload.queries import query_by_name

@@ -1,6 +1,8 @@
 """Multievent engine semantics on the hand-crafted micro dataset, each
 cross-checked against the DuckDB oracle where it adds signal."""
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import engine as engine_mod
 from repro.core.baseline import oracle_sql, run_baseline
@@ -291,3 +293,126 @@ class TestEngineConstruction:
                         'proc a start proc b["python"] as e1\n'
                         'proc b read file f as e2\nreturn a, b, f')
         assert got == {("bash", "python", "/tmp/x")}
+
+
+# ----------------------------------------------------- generated queries
+#: (operation, object kind) pairs the data model has.
+_EVENTS = [("start", "proc"), ("execute", "proc"), ("read", "file"),
+           ("write", "file"), ("delete", "file"), ("read", "ip"),
+           ("write", "ip"), ("connect", "ip")]
+#: Filter strings: names in the fixtures, ``%`` patterns, and strings whose
+#: ``_`` or ``\`` may match only itself.
+_STRINGS = ["bash", "python", "/tmp/x", "%sh%", "%/tmp/%", "svchost.exe",
+            "%chrome%", "%.exe", "%.dll", "%/var/log/%", "%203.0.113.1%",
+            "%av_scan%", "%v_s%", "%o_%", "%\\temp%", "c:\\temp\\t.exe"]
+_CMP = ["=", "!=", "<", "<=", ">", ">="]
+
+
+def _aiql_str(v: str) -> str:
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _entity_filter(draw, kind: str, subject: bool) -> str:
+    """Bracket filters of one entity occurrence; more often none."""
+    string = st.sampled_from(_STRINGS).map(_aiql_str)
+    form = draw(st.sampled_from(["", "", "", "", "name", "names", "attr"]))
+    if form == "name":
+        return f"[{draw(string)}]"
+    if form == "names":
+        return f"[{draw(string)}, {draw(string)}]"
+    if form == "":
+        return ""
+    cmp = draw(st.sampled_from(_CMP))
+    attrs = [f"amount {cmp} {draw(st.sampled_from([50, 100, 2000]))}"]
+    if kind == "proc":
+        attrs.append(f"name != {draw(string)}")
+        if subject:
+            attrs.append(f"pid {cmp} {draw(st.integers(1000, 1120))}")
+    elif kind == "file":
+        attrs += [f"name != {draw(string)}", f"path = {draw(string)}"]
+    else:
+        attrs += [f"dstport {cmp} {draw(st.sampled_from([53, 80, 443]))}",
+                  f"srcport {cmp} 50000"]
+    return f"[{draw(st.sampled_from(attrs))}]"
+
+
+@st.composite
+def multievent_queries(draw):
+    """Well-formed multievent and dependency queries: 1-4 patterns, each
+    after the first sharing a variable with an earlier one (the previous
+    one in a dependency path); ``before``/``after`` with and without
+    ``within``; wildcard, equality and comparison filters."""
+    n = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["multievent", "forward", "backward"])) \
+        if n > 1 else "multievent"
+    kinds: dict[str, str] = {}
+    events: list[tuple] = []  # (subject var, op, object kind, object var)
+
+    def var(kind: str) -> str:
+        v = f"{kind[0]}{len(kinds)}"
+        kinds[v] = kind
+        return v
+
+    for i in range(n):
+        op, okind = draw(st.sampled_from(_EVENTS))
+        subj = obj = None
+        if i:
+            j = i - 1 if mode != "multievent" else draw(st.integers(0, i - 1))
+            s_j, _, _, o_j = events[j]
+            share = [("s", s_j)] + [("o", v) for v in (s_j, o_j)
+                                    if kinds[v] == okind]
+            if kinds[o_j] == "proc":
+                share.append(("s", o_j))
+            end, v = draw(st.sampled_from(share))
+            subj, obj = (v, None) if end == "s" else (None, v)
+        subj = subj or var("proc")
+        obj = obj if obj and obj != subj else var(okind)
+        events.append((subj, op, okind, obj))
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(
+            ['(at "04/10/2018")', '(from "04/10/2018" to "04/12/2018")'])))
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(f"agentid = {draw(st.integers(1, 3))}")
+    if mode != "multievent":
+        lines.append(mode)
+    seen: set[str] = set()
+    for i, (subj, op, okind, obj) in enumerate(events):
+        sf = _entity_filter(draw, "proc", True) if subj not in seen else ""
+        of = _entity_filter(draw, okind, False) if obj not in seen else ""
+        seen |= {subj, obj}
+        lines.append(f"proc {subj}{sf} {op} {okind} {obj}{of} as e{i}")
+    temporal = []
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        a, b = draw(st.permutations(range(n)))[:2]
+        within = draw(st.sampled_from(["", "[10 sec]", "[1 hour]"]))
+        temporal.append(
+            f"e{a} {draw(st.sampled_from(['before', 'after']))}{within} e{b}")
+    if temporal:
+        lines.append("with " + ", ".join(temporal))
+    items = list(kinds) + [f"e{i}.{a}" for i in range(n) for a in ("ts", "amount")]
+    ret = draw(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True))
+    distinct = "distinct " if draw(st.booleans()) else ""
+    lines.append(f"return {distinct}{', '.join(ret)}")
+    return "\n".join(lines)
+
+
+class TestGeneratedAgainstOracle:
+    """The engine, the Spark baseline and DuckDB return the same rows on
+    generated queries (differential testing, as SQLancer does)."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, tiny_engine, tiny_pdf, engine, events_pdf):
+        return {"tiny": (tiny_engine, tiny_pdf), "sf0.001": (engine, events_pdf)}
+
+    @pytest.mark.parametrize("data", ["tiny", "sf0.001"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(text=multievent_queries())
+    def test_engine_baseline_duckdb_agree(self, spark, sources, data, text):
+        eng, pdf = sources[data]
+        want = run_duckdb(oracle_sql(text), events=pdf)
+        # Keeps collecting cheap; the row count is not what is tested.
+        assume(len(want) <= 2000)
+        assert_same_rows(eng.execute(text).toPandas(), want)
+        assert_same_rows(run_baseline(spark, text, eng.events).toPandas(), want)

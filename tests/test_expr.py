@@ -1,20 +1,25 @@
-"""Expression compilation tests — Spark Columns and SQL text."""
+"""Expression lowering tests — SQL text, and what Spark makes of it."""
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.ast import AttrRef, BinOp, HistRef, Literal, UnaryOp
-from repro.core.expr import sql_quote, to_column, to_sql
+from repro.core.expr import sql_quote, to_sql
 
-NAME = lambda n: F.col(n)  # noqa: E731
-HIST = lambda n, k: F.col(f"h{k}_{n}")  # noqa: E731
+NAME = lambda n: n  # noqa: E731
+HIST = lambda n, k: f"h{k}_{n}"  # noqa: E731
 SNAME = lambda n: f"a.{n}"  # noqa: E731
 SHIST = lambda n, k: f"h{k}.{n}"  # noqa: E731
+
+
+def spark_expr(e):
+    """The engine's reading of expression e: its spark-dialect text."""
+    return F.expr(to_sql(e, NAME, HIST, dialect="spark"))
 
 
 def ev(spark, e, **row):
     """Evaluate expression e against a single-row DataFrame."""
     df = spark.createDataFrame([row])
-    return df.select(to_column(e, NAME, HIST).alias("v")).collect()[0]["v"]
+    return df.select(spark_expr(e).alias("v")).collect()[0]["v"]
 
 
 class TestSqlQuote:
@@ -67,12 +72,20 @@ class TestToSql:
         assert to_sql(e, SNAME, SHIST) == \
             "(a.amt > ((2 * ((a.amt + h1.amt) + h2.amt)) / 3))"
 
+    def test_literal_quoted_for_dialect(self):
+        e = BinOp("=", AttrRef(None, "x"), Literal(r"c:\t"))
+        assert to_sql(e, SNAME, SHIST, dialect="spark") == r"(a.x = 'c:\\t')"
+        assert to_sql(e, SNAME, SHIST, dialect="duckdb") == r"(a.x = 'c:\t')"
+
     def test_unresolved_attr_raises(self):
         with pytest.raises(ValueError, match="unresolved"):
             to_sql(AttrRef("p", "x"), SNAME, SHIST)
 
 
 class TestToColumn:
+    """The spark-dialect text evaluated by Spark, as the engine's ``having``
+    filter is."""
+
     def test_literal(self, spark):
         assert ev(spark, Literal(7), x=0) == 7
 
@@ -99,7 +112,7 @@ class TestToColumn:
     def test_hist_resolution(self, spark):
         e = BinOp(">", AttrRef(None, "x"), HistRef("x", 1))
         df = spark.createDataFrame([{"x": 5, "h1_x": 3}])
-        got = df.select(to_column(e, NAME, HIST).alias("v")).collect()[0]["v"]
+        got = df.select(spark_expr(e).alias("v")).collect()[0]["v"]
         assert got is True
 
     def test_null_comparison_is_null(self, spark):
@@ -107,4 +120,4 @@ class TestToColumn:
         documented amt[k] semantics)."""
         df = spark.createDataFrame([(5, None)], "x int, h1_x int")
         e = BinOp(">", AttrRef(None, "x"), HistRef("x", 1))
-        assert df.filter(to_column(e, NAME, HIST)).count() == 0
+        assert df.filter(spark_expr(e)).count() == 0

@@ -1,13 +1,18 @@
 """Malformed AIQL raises the front end's own error classes, never a bare
-``KeyError``/``ValueError`` from a helper."""
+``KeyError``/``ValueError`` from a helper, and a query the front end
+accepts is one all three backends can run."""
 import random
 import re
 
+import duckdb
 import pytest
 
 from repro.core.analyzer import AIQLSemanticError
+from repro.core.baseline import baseline_sql, oracle_sql
 from repro.core.dependency import analyze_text
+from repro.core.engine import AIQLEngine
 from repro.core.lexer import AIQLSyntaxError
+from repro.monitor.schema import EVENT_COLUMNS
 from repro.workload.conciseness import strip_comments
 from repro.workload.queries import QUERIES
 
@@ -19,7 +24,13 @@ from repro.workload.queries import QUERIES
     ("proc p start file f as e\nreturn p", AIQLSemanticError),
     # an unparseable time literal
     ('(at "x")\nproc p read file f as e\nreturn p', AIQLSyntaxError),
-], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal"])
+    # one variable as both ends of an event
+    ("proc p start proc p as e\nreturn p", AIQLSemanticError),
+    # an aggregate without its attribute
+    ('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+     "proc p write ip i as e\nreturn avg() as a", AIQLSemanticError),
+], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal",
+        "subject-is-object", "aggregate-without-attribute"])
 def test_error_class(text, cls):
     with pytest.raises(ValueError) as info:
         analyze_text(text)
@@ -65,3 +76,38 @@ def test_mutated_workload_raises_only_aiql_errors():
             raise AssertionError(f"{type(e).__name__} escaped on {text!r}") from e
     # The mutants reach past the parser: some still analyze cleanly.
     assert 0 < accepted < FUZZ_MUTANTS
+
+
+# ------------------------------------------------------ SQL words as names
+def test_sql_keyword_names_rejected_or_run(spark, tiny, tiny_pdf):
+    """Every keyword of DuckDB's or Spark's SQL parser, and every event
+    column name, used as an event alias and as an output column name, is
+    either rejected by the front end or gets through the engine's
+    DataFrame build, Spark's analysis of the baseline text and DuckDB's
+    binding of the oracle text. Nothing is executed."""
+    engine = AIQLEngine(spark, events=tiny)
+    tiny.createOrReplaceTempView("events")
+    words = {r.keyword.lower()
+             for r in spark.sql("SELECT keyword FROM sql_keywords()").collect()}
+    words |= {c for c, _ in EVENT_COLUMNS}
+    failed = {}
+    with duckdb.connect() as con:
+        words |= {k for (k,) in con.execute(
+            "SELECT keyword_name FROM duckdb_keywords()").fetchall()}
+        con.register("events", tiny_pdf)
+        for w in sorted(words):
+            text = (f"proc p read file f as {w}\nproc q write file f as e2\n"
+                    f"with {w} before e2\nreturn p as {w}, q")
+            try:
+                analyze_text(text)
+            except (AIQLSyntaxError, AIQLSemanticError):
+                continue
+            for backend, build in (
+                    ("engine", lambda: engine.execute(text)),
+                    ("spark", lambda: spark.sql(baseline_sql(text, "spark"))),
+                    ("duckdb", lambda: con.execute("EXPLAIN " + oracle_sql(text)))):
+                try:
+                    build()
+                except Exception as e:
+                    failed.setdefault(w, []).append(f"{backend}: {type(e).__name__}")
+    assert not failed

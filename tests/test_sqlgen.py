@@ -1,10 +1,13 @@
 """Equivalent-SQL synthesis tests: structure + executability + equivalence."""
+import hashlib
+
 import pytest
 
-from repro.core.baseline import oracle_sql
+from repro.core.baseline import baseline_sql, oracle_sql
 from repro.core.dependency import analyze_text
 from repro.core.sqlgen import anomaly_sql, equivalent_sql, multievent_sql
 from repro.oracle import assert_same_rows, run_duckdb
+from repro.workload.queries import QUERIES
 
 AT = '(at "04/10/2018")\n'
 
@@ -121,3 +124,12 @@ class TestExecutability:
         a = spark.sql(sql_of(text, "spark")).toPandas()
         b = run_duckdb(sql_of(text, "duckdb"), events=events_pdf)
         assert_same_rows(a, b)
+
+
+def test_synthesized_sql_is_pinned():
+    """The big SQL of every workload query, in every dialect, is exactly
+    the text these tests and Table B were measured on."""
+    text = "".join(baseline_sql(q.aiql, d) for q in QUERIES
+                   for d in ("spark", "duckdb", "postgres"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "da37b0b6e50612e7622809ee2bb366cff3dcf77a4275d8f542725128e275f816")
