@@ -62,7 +62,7 @@ def window_bounds(ana: Analysis):
     return t0, q.window_ms, q.step_ms, kmax
 
 
-def window_sql(ana: Analysis, dialect: str = "spark") -> tuple[str, str]:
+def window_sql(ana: Analysis, dialect: str) -> tuple[str, str]:
     """SQL text over ``ts`` for the sliding windows: the condition that some
     window holds the event, and the expression that explodes the event into
     the ids ``lo..hi`` of every window holding it."""
@@ -92,7 +92,7 @@ def run(events: DataFrame, ana: Analysis) -> DataFrame:
     event DataFrame."""
     q = ana.query
     alias = q.events[0].alias
-    in_window, window_ids = window_sql(ana)
+    in_window, window_ids = window_sql(ana, "spark")
     gcols = group_cols(ana)
     agg = (events.filter(pattern_filter(ana.pattern_preds[alias]))
            .filter(F.expr(in_window))
@@ -115,6 +115,7 @@ def run(events: DataFrame, ana: Analysis) -> DataFrame:
             q.having,
             resolve_name=lambda n: n,
             resolve_hist=lambda n, k: f"__h{k}__{n}",
+            dialect="spark",
         )))
 
     out_cols = []

@@ -19,7 +19,7 @@ from repro.core.expr import link_sql, pred_sql
 
 def pattern_filter(preds: list) -> Column:
     """AND of all lowered predicates of one event pattern."""
-    return F.expr(" AND ".join(pred_sql(p) for p in preds) or "TRUE")
+    return F.expr(" AND ".join(pred_sql(p, "", "spark") for p in preds) or "TRUE")
 
 
 def pattern_df(events: DataFrame, ana: Analysis, alias: str) -> DataFrame:

@@ -13,8 +13,12 @@ escapes ``\\`` and ``_`` with ``\\`` (:func:`like_pattern`), the default
 LIKE escape of Spark and PostgreSQL; DuckDB has none by default, so its
 text names it (``ESCAPE '\\'``) wherever a pattern uses it. Spark SQL also
 reads a backslash in any string literal as an escape, so the ``spark``
-dialect doubles backslashes once more (:func:`sql_quote`); the DuckDB and
-PostgreSQL texts write literals as they are.
+dialect doubles backslashes once more and escapes a quote with a backslash
+too (:func:`sql_quote`); the DuckDB and PostgreSQL texts write literals as
+they are, a quote doubled.
+
+Every renderer takes the dialect explicitly: the spark and DuckDB texts of
+one literal differ, and a default would pick one silently.
 """
 from __future__ import annotations
 
@@ -36,16 +40,16 @@ def like_pattern(v: str) -> str:
     return v.replace("\\", "\\\\").replace("_", "\\_")
 
 
-def sql_quote(v, dialect: str = "spark") -> str:
+def sql_quote(v, dialect: str) -> str:
     """Render a literal for SQL text in ``dialect``."""
     if isinstance(v, str):
         if dialect == "spark":
-            v = v.replace("\\", "\\\\")
+            return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
         return "'" + v.replace("'", "''") + "'"
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def pred_sql(p, prefix: str = "", dialect: str = "spark") -> str:
+def pred_sql(p, prefix: str, dialect: str) -> str:
     """One lowered predicate (or OR group) over the columns
     ``<prefix><col>``."""
     if isinstance(p, OrGroup):
@@ -83,7 +87,7 @@ def to_sql(
     e,
     resolve_name: Callable[[str], str],
     resolve_hist: Callable[[str, int], str],
-    dialect: str = "spark",
+    dialect: str,
 ) -> str:
     """Render a ``having`` expression as SQL text (parenthesized —
     conciseness metrics count predicates, not parens)."""

@@ -193,12 +193,19 @@ class TestOracleAgreement:
         assert len(want) > 0
         assert_same_rows(got, want)
 
-    def test_backslash_literal_in_having(self, spark, win_engine, win_pdf):
+    @pytest.mark.parametrize("cond", [
+        r'"a\\" = "a\\"',
+        # Each pair differs only by what a misread escape would drop.
+        "\"o'b\" != \"ob\"",
+        "\"a\\\\'b\" != \"a'b\"",
+    ])
+    def test_quoted_literal_in_having(self, spark, win_engine, win_pdf, cond):
         """A string literal in ``having`` is quoted for each dialect, as
         pattern filters are: the engine, the Spark baseline and DuckDB all
-        read ``"a\\\\"`` as ``a\\``."""
+        read ``"a\\\\"`` as ``a\\`` and keep a quote, alone or after a
+        backslash."""
         text = q('proc p write ip i as e\nreturn p, avg(e.amount) as amt\n'
-                 'group by p\n' r'having amt > 0 and "a\\" = "a\\"')
+                 f'group by p\nhaving amt > 0 and {cond}')
         want = run_duckdb(oracle_sql(text), events=win_pdf)
         assert len(want) > 0
         assert_same_rows(win_engine.execute(text).toPandas(), want)

@@ -173,6 +173,8 @@ def win_paths_pdf():
         file_ev(1, t + 2_000, "write", "b1", exe, "c:\\temp\\x.dat"),
         file_ev(1, t + 3_000, "read", "b1", exe, "c:\\users\\doc.txt"),
         file_ev(1, t + 4_000, "read", "a1", "explorer.exe", "c:\\temp"),
+        file_ev(1, t + 5_000, "read", "a1", "explorer.exe", "c:\\o'brien\\'q.txt"),
+        file_ev(1, t + 6_000, "read", "a1", "explorer.exe", "c:\\obrien\\q.txt"),
     ])
 
 
@@ -192,6 +194,27 @@ class TestBackslashStrings:
         assert len(want) > 0
         assert_same_rows(got, want)
         assert_same_rows(run_baseline(spark, text, events).toPandas(), want)
+
+
+class TestQuoteStrings:
+    """A single quote in an AIQL string matches itself, alone or after a
+    backslash: a reading of the SQL literal that dropped the quote would
+    also match ``c:\\obrien\\q.txt``."""
+
+    QUOTED = "c:\\o'brien\\'q.txt"
+
+    @pytest.mark.parametrize("q", [
+        "proc p read file f[\"%o'brien%\"] as e1\nreturn f",
+        "proc p read file f[\"%\\\\'q%\"] as e1\nreturn f",
+        "proc p read file f[\"c:\\\\o'brien\\\\'q.txt\"] as e1\nreturn f",
+    ])
+    def test_engine_baseline_duckdb_agree(self, spark, win_paths_pdf, q):
+        text = AT + q
+        events = spark.createDataFrame(win_paths_pdf, schema=event_spark_schema())
+        duck = run_duckdb(oracle_sql(text), events=win_paths_pdf)
+        assert set(duck.itertuples(index=False, name=None)) == {(self.QUOTED,)}
+        assert_same_rows(AIQLEngine(spark, events=events).execute(text).toPandas(), duck)
+        assert_same_rows(run_baseline(spark, text, events).toPandas(), duck)
 
 
 @pytest.fixture(scope="module")
@@ -300,11 +323,13 @@ class TestEngineConstruction:
 _EVENTS = [("start", "proc"), ("execute", "proc"), ("read", "file"),
            ("write", "file"), ("delete", "file"), ("read", "ip"),
            ("write", "ip"), ("connect", "ip")]
-#: Filter strings: names in the fixtures, ``%`` patterns, and strings whose
-#: ``_`` or ``\`` may match only itself.
+#: Filter strings: names in the fixtures, ``%`` patterns, strings whose
+#: ``_`` or ``\`` may match only itself, and strings with a quote that
+#: match a fixture name only if ``''`` is read as two adjacent literals.
 _STRINGS = ["bash", "python", "/tmp/x", "%sh%", "%/tmp/%", "svchost.exe",
             "%chrome%", "%.exe", "%.dll", "%/var/log/%", "%203.0.113.1%",
-            "%av_scan%", "%v_s%", "%o_%", "%\\temp%", "c:\\temp\\t.exe"]
+            "%av_scan%", "%v_s%", "%o_%", "%\\temp%", "c:\\temp\\t.exe",
+            "bas'h", "%pyt'hon%"]
 _CMP = ["=", "!=", "<", "<=", ">", ">="]
 
 

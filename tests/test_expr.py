@@ -24,42 +24,55 @@ def ev(spark, e, **row):
 
 class TestSqlQuote:
     def test_string(self):
-        assert sql_quote("abc") == "'abc'"
+        for d in ("spark", "duckdb", "postgres"):
+            assert sql_quote("abc", d) == "'abc'"
 
     def test_escapes_single_quote(self):
-        assert sql_quote("a'b") == "'a''b'"
+        assert sql_quote("a'b", "duckdb") == "'a''b'"
+        assert sql_quote("a'b", "postgres") == "'a''b'"
+
+    def test_spark_escapes_quote_and_backslash(self):
+        assert sql_quote("a'b", "spark") == r"'a\'b'"
+        assert sql_quote("a\\'b", "spark") == r"'a\\\'b'"
+
+    def test_spark_reads_its_own_text(self, spark):
+        vals = ["a'b", "a''b", "a\\'b", "'", "\\", "c:\\t'"]
+        row = spark.range(1).select(
+            [F.expr(sql_quote(v, "spark")).alias(f"v{i}") for i, v in enumerate(vals)]
+        ).collect()[0]
+        assert list(row) == vals
 
     def test_int(self):
-        assert sql_quote(42) == "42"
+        assert sql_quote(42, "spark") == "42"
 
     def test_float(self):
-        assert sql_quote(1.5) == "1.5"
+        assert sql_quote(1.5, "spark") == "1.5"
 
 
 class TestToSql:
     def test_arithmetic(self):
         e = BinOp("+", AttrRef(None, "amt"), Literal(3))
-        assert to_sql(e, SNAME, SHIST) == "(a.amt + 3)"
+        assert to_sql(e, SNAME, SHIST, "spark") == "(a.amt + 3)"
 
     def test_hist_ref(self):
         e = BinOp(">", AttrRef(None, "amt"), HistRef("amt", 2))
-        assert to_sql(e, SNAME, SHIST) == "(a.amt > h2.amt)"
+        assert to_sql(e, SNAME, SHIST, "spark") == "(a.amt > h2.amt)"
 
     def test_ne_spelled_standard(self):
         e = BinOp("!=", AttrRef(None, "x"), Literal(1))
-        assert to_sql(e, SNAME, SHIST) == "(a.x <> 1)"
+        assert to_sql(e, SNAME, SHIST, "spark") == "(a.x <> 1)"
 
     def test_and_or_upper(self):
         e = BinOp("or", BinOp("and", Literal(1), Literal(2)), Literal(3))
-        assert to_sql(e, SNAME, SHIST) == "((1 AND 2) OR 3)"
+        assert to_sql(e, SNAME, SHIST, "spark") == "((1 AND 2) OR 3)"
 
     def test_not(self):
         e = UnaryOp("not", AttrRef(None, "x"))
-        assert to_sql(e, SNAME, SHIST) == "(NOT a.x)"
+        assert to_sql(e, SNAME, SHIST, "spark") == "(NOT a.x)"
 
     def test_neg(self):
         e = UnaryOp("-", Literal(5))
-        assert to_sql(e, SNAME, SHIST) == "(-5)"
+        assert to_sql(e, SNAME, SHIST, "spark") == "(-5)"
 
     def test_paper_having(self):
         # amt > 2 * (amt + amt[1] + amt[2]) / 3
@@ -69,7 +82,7 @@ class TestToSql:
                                                     HistRef("amt", 1)),
                                          HistRef("amt", 2))),
                         Literal(3)))
-        assert to_sql(e, SNAME, SHIST) == \
+        assert to_sql(e, SNAME, SHIST, "spark") == \
             "(a.amt > ((2 * ((a.amt + h1.amt) + h2.amt)) / 3))"
 
     def test_literal_quoted_for_dialect(self):
@@ -79,7 +92,7 @@ class TestToSql:
 
     def test_unresolved_attr_raises(self):
         with pytest.raises(ValueError, match="unresolved"):
-            to_sql(AttrRef("p", "x"), SNAME, SHIST)
+            to_sql(AttrRef("p", "x"), SNAME, SHIST, "spark")
 
 
 class TestToColumn:
