@@ -338,6 +338,29 @@ def _analyze_multievent_return(ana: Analysis) -> None:
         _add_output_name(ana, name)
 
 
+def group_cols(ana: Analysis) -> list[str]:
+    """Physical grouping columns. A bare entity variable groups by the
+    *entity* — its uid — with the default attribute carried alongside for
+    projection; an explicit ``var.attr`` groups by that column alone."""
+    cols: list[str] = []
+
+    def add(c: str) -> None:
+        if c not in cols:
+            cols.append(c)
+
+    for g in ana.query.group_by:
+        if g.var is None and g.attr in ana.etypes:
+            var = g.attr
+            _, uid = ana.entity_col(var, "uid")
+            _, attr = ana.entity_col(var, DEFAULT_ATTR[ana.etypes[var]])
+            add(uid)
+            add(attr)
+        else:
+            _, c, _ = ana.resolve_ref(g)
+            add(c)
+    return cols
+
+
 def _analyze_anomaly(ana: Analysis) -> None:
     q = ana.query
     if len(q.events) != 1:
@@ -391,6 +414,14 @@ def _analyze_anomaly(ana: Analysis) -> None:
         _add_output_name(ana, name)
     if not ana.agg_aliases:
         raise AIQLSemanticError("anomaly query returns no aggregate")
+    # The per-window aggregate holds ``wid``, the group columns and the
+    # aggregates under their aliases: one name cannot be two of them.
+    taken = ["wid", *group_cols(ana)]
+    for name in ana.agg_aliases:
+        if name.lower() in {c.lower() for c in taken}:
+            raise AIQLSemanticError(
+                f"aggregate alias {name!r} names a column of the per-window "
+                f"aggregate ({', '.join(taken)})")
     if q.having is not None:
         ks: set = set()
         _walk_having(q.having, ana, ks)

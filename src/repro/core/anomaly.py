@@ -16,7 +16,11 @@ never matches NULL keys; the DuckDB oracle verifies both rules.
 
 The window ids and the aggregates are SQL text (:func:`window_sql`,
 :func:`agg_sql`), written once for both the synthesized SQL and the engine,
-which parses it with ``F.expr``.
+which parses it with ``F.expr``; so is the final select
+(``s_name AS p, amt``). The group columns (``group_cols``) come from the
+analyzer, which rejects an aggregate alias that names one of them or
+``wid``. Over a scope the engine reads as one partition (see ``engine``),
+the aggregate and the history window run without a shuffle.
 """
 from __future__ import annotations
 
@@ -25,33 +29,10 @@ from functools import reduce
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.analyzer import DEFAULT_ATTR, Analysis
+from repro.core.analyzer import Analysis, group_cols
 from repro.core.ast import FuncCall
 from repro.core.compiler import pattern_filter
 from repro.core.expr import to_sql
-
-
-def group_cols(ana: Analysis) -> list[str]:
-    """Physical grouping columns. A bare entity variable groups by the
-    *entity* — its uid — with the default attribute carried alongside for
-    projection; an explicit ``var.attr`` groups by that column alone."""
-    cols: list[str] = []
-
-    def add(c: str) -> None:
-        if c not in cols:
-            cols.append(c)
-
-    for g in ana.query.group_by:
-        if g.var is None and g.attr in ana.etypes:
-            var = g.attr
-            _, uid = ana.entity_col(var, "uid")
-            _, attr = ana.entity_col(var, DEFAULT_ATTR[ana.etypes[var]])
-            add(uid)
-            add(attr)
-        else:
-            _, c, _ = ana.resolve_ref(g)
-            add(c)
-    return cols
 
 
 def window_bounds(ana: Analysis):
@@ -121,9 +102,9 @@ def run(events: DataFrame, ana: Analysis) -> DataFrame:
     out_cols = []
     for it, name in zip(q.return_items, ana.return_names):
         if isinstance(it.expr, FuncCall):
-            out_cols.append(F.col(name))
+            out_cols.append(name)
         else:
             _, c, _ = ana.resolve_ref(it.expr)
-            out_cols.append(F.col(c).alias(name))
-    out = agg.select(out_cols)
+            out_cols.append(f"{c} AS {name}")
+    out = agg.selectExpr(*out_cols)
     return out.distinct() if q.distinct else out

@@ -6,7 +6,8 @@ per event pattern (a pruned scan under the pattern's event alias) and folds
 them into a left-deep join in the order chosen by the pruning-power
 scheduler, broadcasting sides whose row bound is small. Every filter and
 join condition is the spark-dialect SQL text of ``expr``, the text the
-synthesized big SQL is built from, parsed by ``F.expr``.
+synthesized big SQL is built from, parsed by ``F.expr``; the return clause
+is the big SQL's select list (``e1.s_name AS p``), run by ``selectExpr``.
 """
 from __future__ import annotations
 
@@ -62,11 +63,11 @@ def join_multievent(
 
 
 def project_return(joined: DataFrame, ana: Analysis) -> DataFrame:
-    """Apply the return clause: resolve each item to its alias-qualified
-    column, alias to the output name, and deduplicate if ``distinct``."""
+    """Apply the return clause: each item as ``alias.col AS name``, the
+    big SQL's select list, and deduplicate if ``distinct``."""
     cols = []
     for it, name in zip(ana.query.return_items, ana.return_names):
         alias, col, _ = ana.resolve_ref(it.expr)
-        cols.append(F.col(f"{alias}.{col}").alias(name))
-    out = joined.select(cols)
+        cols.append(f"{alias}.{col} AS {name}")
+    out = joined.selectExpr(*cols)
     return out.distinct() if ana.query.distinct else out

@@ -16,6 +16,14 @@ is small is broadcast into its join. The whole query is then one Spark
 plan: nothing is probed and nothing is cached, so a query holds no memory
 beyond what computing its result takes.
 
+The same sum over every ``etype`` and ``op`` is the query's scope. Most
+investigation queries name one host and one day, a few thousand events:
+a scope no larger than a broadcast side (``BROADCAST_ROWS``) is read as
+one partition, so ``distinct``, the anomaly aggregate and its history
+window run in the scan's task instead of shuffling into
+``spark.sql.shuffle.partitions`` tasks, and a single-pattern or anomaly
+query is one Spark job. Larger scopes keep the partitioned plan.
+
 The engine reads either an in-memory DataFrame (``events=``, tests) or the
 partitioned store (``store=``, the jobs) — with a store, the query's
 global time window and agent id prune Parquet partitions before any pattern
@@ -38,7 +46,8 @@ from repro.monitor.storage import EventCounts
 
 #: A non-driving pattern whose row bound is at or below this threshold is
 #: broadcast into its join. The bound is never below the pattern's true
-#: rows, so a broadcast side is never larger than this.
+#: rows, so a broadcast side is never larger than this. A query whose whole
+#: scope is this small is read as one partition.
 BROADCAST_ROWS = 500_000
 
 
@@ -50,6 +59,8 @@ class MultieventPlan:
     order: list = field(default_factory=list)       # chosen join order
     broadcast: set = field(default_factory=set)     # aliases broadcast
     dfs: dict = field(default_factory=dict)         # alias -> pattern scan
+    scope_rows: int = 0           # events in the query's agent and days
+    one_partition: bool = False   # scope_rows <= BROADCAST_ROWS
 
 
 class AIQLEngine:
@@ -74,15 +85,8 @@ class AIQLEngine:
         """Front half of the pipeline (no execution)."""
         return analyze_text(text)
 
-    def _source(self, ana: Analysis) -> DataFrame:
-        q = ana.query
-        if self.store is not None:
-            return self.store.events_partitioned(q.time_range, q.agentid)
-        return self.events
-
-    def _row_bounds(self, ana: Analysis) -> dict[str, int]:
-        """Alias -> the events in the query's agent and days with the
-        pattern's ``etype`` and ``op``: at least the rows it matches."""
+    def _scope_counts(self, ana: Analysis) -> dict[tuple, int]:
+        """(``etype``, ``op``) -> the events in the query's agent and days."""
         q = ana.query
         days = None if q.time_range is None else set(day_labels(*q.time_range))
         per_kind: dict[tuple, int] = {}
@@ -90,28 +94,44 @@ class AIQLEngine:
             if ((q.agentid is None or agentid == q.agentid)
                     and (days is None or day in days)):
                 per_kind[etype, op] = per_kind.get((etype, op), 0) + n
-        return {ev.alias: per_kind.get((ana.event_etype[ev.alias], ev.op), 0)
-                for ev in q.events}
+        return per_kind
+
+    def _source(self, ana: Analysis, scope_rows: int) -> DataFrame:
+        """The events in the query's scope. A scope of at most
+        ``BROADCAST_ROWS`` events, the most the engine hands one task as a
+        broadcast side, is read as one partition: ``coalesce`` is narrow,
+        the pattern filters still reach the scan, and ``distinct``, the
+        anomaly aggregate and its history window need no shuffle."""
+        q = ana.query
+        src = (self.store.events_partitioned(q.time_range, q.agentid)
+               if self.store is not None else self.events)
+        return src.coalesce(1) if scope_rows <= BROADCAST_ROWS else src
 
     def _plan_multievent(self, ana: Analysis) -> MultieventPlan:
-        src = self._source(ana)
+        per_kind = self._scope_counts(ana)
+        scope_rows = sum(per_kind.values())
+        src = self._source(ana, scope_rows)
         dfs = {ev.alias: pattern_df(src, ana, ev.alias) for ev in ana.query.events}
-        if len(dfs) == 1:
-            # Nothing to schedule: one synthesized data query.
-            return MultieventPlan(ana, {}, list(dfs), set(), dfs)
-        counts = self._row_bounds(ana)
-        adj = build_adjacency(list(dfs), ana.join_conds, ana.query.temporal)
-        # Most predicates first, then the smallest bound.
-        power = {a: (-len(ana.pattern_preds[a]), counts[a]) for a in dfs}
-        order = order_patterns(power, adj)
-        # The first (driving) pattern is never broadcast — it is the side
-        # the join pipeline streams from.
-        bc = {a for a in order[1:] if counts[a] <= BROADCAST_ROWS}
-        return MultieventPlan(ana, counts, order, bc, dfs)
+        # One pattern: nothing to schedule, one synthesized data query.
+        counts, order, bc = {}, list(dfs), set()
+        if len(dfs) > 1:
+            # A pattern matches at most the scope's events of its kind.
+            counts = {a: per_kind.get((ana.event_etype[a], ev.op), 0)
+                      for a, ev in zip(dfs, ana.query.events)}
+            adj = build_adjacency(list(dfs), ana.join_conds, ana.query.temporal)
+            # Most predicates first, then the smallest bound.
+            power = {a: (-len(ana.pattern_preds[a]), counts[a]) for a in dfs}
+            order = order_patterns(power, adj)
+            # The first (driving) pattern is never broadcast — it is the
+            # side the join pipeline streams from.
+            bc = {a for a in order[1:] if counts[a] <= BROADCAST_ROWS}
+        return MultieventPlan(ana, counts, order, bc, dfs, scope_rows,
+                              scope_rows <= BROADCAST_ROWS)
 
     def plan(self, text: str) -> MultieventPlan:
-        """Bound per-pattern rows and pick the join order (no Spark job
-        once the count table exists)."""
+        """Bound per-pattern rows, pick the join order and decide whether
+        the scope is one partition (no Spark job once the count table
+        exists)."""
         ana = self.analyze(text)
         if ana.query.mode != "multievent":
             raise ValueError("plan() applies to multievent queries")
@@ -123,7 +143,8 @@ class AIQLEngine:
         output column names the query's return clause defines."""
         ana = self.analyze(text)
         if ana.query.mode == "anomaly":
-            return anomaly_mod.run(self._source(ana), ana)
+            return anomaly_mod.run(
+                self._source(ana, sum(self._scope_counts(ana).values())), ana)
         plan = self._plan_multievent(ana)
         joined = join_multievent(plan.dfs, ana, plan.order, plan.broadcast)
         return project_return(joined, ana)

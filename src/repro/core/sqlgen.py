@@ -21,8 +21,8 @@ DuckDB/PostgreSQL ``unnest(generate_series(...))``).
 """
 from __future__ import annotations
 
-from repro.core.analyzer import Analysis
-from repro.core.anomaly import agg_sql, group_cols, window_sql
+from repro.core.analyzer import Analysis, group_cols
+from repro.core.anomaly import agg_sql, window_sql
 from repro.core.ast import FuncCall
 from repro.core.expr import link_sql, pred_sql, to_sql
 

@@ -4,8 +4,10 @@ Paper §2.1/§2.3: AIQL's storage is *domain-optimized* — partitioned along
 the temporal (time window) and spatial (agent ID) dimensions so queries
 touch only the relevant slices, with sub-queries executing in parallel. On
 Spark the analog is a Parquet layout partitioned by ``agentid`` and
-``day``: a query's global time window and agent constraint become partition
-filters, pruned at file-listing time.
+``day``: a query's global time window and agent constraint become one
+partition filter, pruned against the file listing. A store lists each
+layout once, on its first read, and reuses the opened ``DataFrame`` until
+its next ``write``.
 
 The paper's comparison target stores the same rows in a *generic*
 relational layout (a flat PostgreSQL heap table): row-oriented, no
@@ -26,7 +28,6 @@ from pathlib import Path
 from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.monitor.schema import day_labels, event_spark_schema
 
@@ -62,7 +63,13 @@ class EventCounts:
 
 
 class EventStore:
-    """Writer/reader for the two on-disk layouts of one event dataset."""
+    """Writer/reader for the two on-disk layouts of one event dataset.
+
+    Each layout is opened once, on its first read, and kept until this
+    store's next ``write``: the opened ``DataFrame`` holds the file listing,
+    so a query does not list the store again. Another writer to the same
+    ``base`` is therefore not seen until this store's own ``write``, as
+    with any path-based Spark ``DataFrame``."""
 
     def __init__(self, spark: SparkSession, base: str | Path):
         self.spark = spark
@@ -70,6 +77,8 @@ class EventStore:
         # Built from the partitioned layout on first use, not in ``write``:
         # ingest time stays the time to write the two layouts.
         self.event_counts = EventCounts(self.events_partitioned)
+        self._opened: dict[str, DataFrame] = {}
+        self._lock = threading.Lock()
 
     @property
     def partitioned_path(self) -> str:
@@ -80,8 +89,9 @@ class EventStore:
         return str(self.base / "events_flat")
 
     def write(self, df: DataFrame) -> None:
-        """Persist both layouts (overwrite) and forget the event counts of
-        the rows they held, even if the write fails part way."""
+        """Persist both layouts (overwrite) and forget the opened layouts
+        and the event counts of the rows they held, even if the write
+        fails part way."""
         try:
             (
                 # One file per (agentid, day) partition: compact listing and
@@ -97,16 +107,23 @@ class EventStore:
                 .csv(self.flat_path)
             )
         finally:
+            with self._lock:
+                self._opened.clear()
             self.event_counts.clear()
+
+    def _open(self, layout: str, read: Callable[[], DataFrame]) -> DataFrame:
+        with self._lock:
+            if layout not in self._opened:
+                self._opened[layout] = read()
+            return self._opened[layout]
 
     def events_flat(self) -> DataFrame:
         """The generic row-oriented layout (the baseline's side): flat CSV,
         read with the event schema (empty fields are NULLs)."""
-        return (
+        return self._open("flat", lambda: (
             self.spark.read.schema(event_spark_schema())
             .option("header", True)
-            .csv(self.flat_path)
-        )
+            .csv(self.flat_path)))
 
     def events_partitioned(
         self,
@@ -114,13 +131,16 @@ class EventStore:
         agentid: int | None = None,
     ) -> DataFrame:
         """The domain-partitioned layout, pre-pruned to the query's spatial
-        and temporal scope. The ``day``/``agentid`` filters hit partition
-        directories, so pruning happens at file-listing time, before any
-        row is read."""
-        df = (self.spark.read.schema(event_spark_schema())
-              .parquet(self.partitioned_path))
+        and temporal scope. The ``agentid``/``day`` filter (one SQL text)
+        hits partition directories, so pruning happens at file-listing
+        time, before any row is read."""
+        df = self._open("partitioned", lambda: (
+            self.spark.read.schema(event_spark_schema())
+            .parquet(self.partitioned_path)))
+        scope = []
         if agentid is not None:
-            df = df.filter(F.col("agentid") == agentid)
+            scope.append(f"agentid = {agentid}")
         if time_range is not None:
-            df = df.filter(F.col("day").isin(day_labels(*time_range)))
-        return df
+            days = ", ".join(f"'{d}'" for d in day_labels(*time_range))
+            scope.append(f"day IN ({days})")
+        return df.filter(" AND ".join(scope)) if scope else df

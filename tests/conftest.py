@@ -12,6 +12,10 @@ Result comparison (``run_duckdb``, ``assert_same_rows``) lives in
 """
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
+
 import pandas as pd
 import pytest
 
@@ -43,6 +47,24 @@ def net_ev(agentid, ts, op, s_uid, s_name, ip, port, amount=10):
     return dict(agentid=agentid, ts=ts, etype="network", op=op, s_uid=s_uid,
                 s_name=s_name, o_uid=f"{ip}:{port}", o_ip=ip, o_port=port,
                 o_srcip=f"10.0.0.{agentid}", o_srcport=50000, amount=amount)
+
+
+def executed_plan(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
+@contextmanager
+def partitioned(engine):
+    """``engine.BROADCAST_ROWS`` below the events of every (agentid, day)
+    that has any, so ``engine`` reads every non-empty scope partitioned
+    (the plan of a scope too large for one partition): no ``coalesce``,
+    and shuffle joins beside broadcast ones."""
+    from repro.core import engine as engine_mod
+    per_slice = Counter()
+    for (agentid, day, _, _), n in engine.event_counts().items():
+        per_slice[agentid, day] += n
+    with mock.patch.object(engine_mod, "BROADCAST_ROWS", min(per_slice.values()) - 1):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
 from repro.monitor.schema import event_spark_schema
 from repro.oracle import assert_same_rows, run_duckdb
-from tests.conftest import DAY0, make_events, net_ev
+from tests.conftest import DAY0, executed_plan, make_events, net_ev, partitioned
 
 AT = '(at "04/10/2018")\n'
 SEC = 1_000
@@ -212,6 +212,18 @@ class TestOracleAgreement:
         assert_same_rows(
             run_baseline(spark, text, win_engine.events).toPandas(), want)
 
+    def test_aggregate_alias_named_like_an_event_column(self, spark, win_engine,
+                                                        win_pdf):
+        """An aggregate alias may name an event column the aggregate does
+        not group by, also in history access."""
+        text = q('proc p write ip i as e\nreturn p, avg(e.amount) as amount\n'
+                 'group by p\nhaving amount > amount[1]')
+        want = run_duckdb(oracle_sql(text), events=win_pdf)
+        assert len(want) > 0
+        assert_same_rows(win_engine.execute(text).toPandas(), want)
+        assert_same_rows(
+            run_baseline(spark, text, win_engine.events).toPandas(), want)
+
     def test_workload_anomaly_on_trace(self, engine, events_pdf):
         from repro.workload.queries import query_by_name
         text = query_by_name("q01_anomaly_exfil").aiql
@@ -258,3 +270,14 @@ class TestGeneratedAgainstOracle:
         got = mixed_engine.execute(text).toPandas()
         want = run_duckdb(oracle_sql(text), events=mixed_pdf)
         assert_same_rows(got, want)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(text=anomaly_queries())
+    def test_partitioned_plan_matches_duckdb(self, mixed_engine, mixed_pdf, text):
+        """The shuffled aggregate and history window of a scope too large
+        for one partition give the same rows."""
+        with partitioned(mixed_engine):
+            got = mixed_engine.execute(text)
+            assert "Exchange hashpartitioning" in executed_plan(got)
+            assert_same_rows(got.toPandas(),
+                             run_duckdb(oracle_sql(text), events=mixed_pdf))

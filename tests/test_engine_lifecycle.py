@@ -2,13 +2,17 @@
 Spark holds no more persistent RDDs than before, for multievent,
 single-pattern and anomaly queries alike, and with threads sharing one
 engine. Planning runs no Spark job once the event count table exists, and
-that table is computed once per source."""
+that table is computed once per source. A query over a small scope runs in
+one partition: no shuffle, and one job for a single pattern."""
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core.engine import AIQLEngine
 from repro.monitor.storage import EventStore
+from repro.workload.queries import query_by_name
+from tests.conftest import executed_plan
 
 AT = '(at "04/10/2018")\n'
 
@@ -123,3 +127,48 @@ class TestNoProbe:
         assert store.event_counts() is table
         store.write(tiny)
         assert store.event_counts() is not table
+
+
+class TestOnePartition:
+    """Most workload queries name one host and one day: a scope of at most
+    ``BROADCAST_ROWS`` events, read as one partition."""
+
+    @pytest.fixture(scope="class")
+    def store_engine(self, spark, store):
+        eng = AIQLEngine(spark, store=store)
+        eng.event_counts()
+        return eng
+
+    @pytest.mark.parametrize("name", ["q02_powershell_reads", "q01_anomaly_exfil"])
+    def test_no_shuffle(self, store_engine, name):
+        """``return distinct`` and the anomaly aggregate and history window
+        run in the scan's one partition."""
+        plan = executed_plan(store_engine.execute(query_by_name(name).aiql))
+        assert "Coalesce 1" in plan
+        assert "Exchange hashpartitioning" not in plan
+
+    def test_larger_scope_shuffles(self, store_engine, monkeypatch):
+        monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", 0)
+        plan = executed_plan(
+            store_engine.execute(query_by_name("q02_powershell_reads").aiql))
+        assert "Coalesce" not in plan
+        assert "Exchange hashpartitioning" in plan
+
+    def test_single_pattern_distinct_is_one_job(self, spark, store_engine):
+        before = jobs_started(spark)
+        assert store_engine.execute(
+            query_by_name("q02_powershell_reads").aiql).collect()
+        assert jobs_started(spark) == before + 1
+
+    @pytest.mark.parametrize("name", ["q02_powershell_reads", "q05_exfil_chain"])
+    @pytest.mark.parametrize("source", ["tiny_engine", "engine"])
+    def test_plan_records_the_decision(self, request, monkeypatch, source, name):
+        eng = request.getfixturevalue(source)
+        text = query_by_name(name).aiql
+        plan = eng.plan(text)
+        q = plan.analysis.query
+        want = sum(n for (agentid, day, _, _), n in eng.event_counts().items()
+                   if agentid == q.agentid and day == "2018-04-10")
+        assert (plan.scope_rows, plan.one_partition) == (want, True)
+        monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", plan.scope_rows - 1)
+        assert eng.plan(text).one_partition is False

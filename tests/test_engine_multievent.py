@@ -9,7 +9,8 @@ from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
 from repro.monitor.schema import event_spark_schema
 from repro.oracle import assert_same_rows, run_duckdb
-from tests.conftest import DAY0, file_ev, make_events, proc_ev
+from tests.conftest import (DAY0, executed_plan, file_ev, make_events,
+                            partitioned, proc_ev)
 
 AT = '(at "04/10/2018")\n'
 
@@ -441,3 +442,18 @@ class TestGeneratedAgainstOracle:
         assume(len(want) <= 2000)
         assert_same_rows(eng.execute(text).toPandas(), want)
         assert_same_rows(run_baseline(spark, text, eng.events).toPandas(), want)
+
+    @pytest.mark.parametrize("data", ["tiny", "sf0.001"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(text=multievent_queries())
+    def test_partitioned_plan_agrees(self, sources, data, text):
+        """Every fixture scope is one partition by default; the engine's
+        plan for a larger scope returns the DuckDB rows too."""
+        eng, pdf = sources[data]
+        want = run_duckdb(oracle_sql(text), events=pdf)
+        assume(len(want) <= 2000)
+        with partitioned(eng):
+            assert not eng.plan(text).one_partition
+            got = eng.execute(text)
+            assert "Coalesce" not in executed_plan(got)
+            assert_same_rows(got.toPandas(), want)

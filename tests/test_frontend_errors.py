@@ -29,8 +29,14 @@ from repro.workload.queries import QUERIES
     # an aggregate without its attribute
     ('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
      "proc p write ip i as e\nreturn avg() as a", AIQLSemanticError),
+    # an aggregate alias naming a column of the per-window aggregate: the
+    # window id, or the uid and name columns a bare ``p`` groups by
+    *[('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+       f"proc p write ip i as e\nreturn p, avg(e.amount) as {name}\n"
+       "group by p", AIQLSemanticError) for name in ("s_name", "s_uid", "wid")],
 ], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal",
-        "subject-is-object", "aggregate-without-attribute"])
+        "subject-is-object", "aggregate-without-attribute",
+        "aggregate-alias-s_name", "aggregate-alias-s_uid", "aggregate-alias-wid"])
 def test_error_class(text, cls):
     with pytest.raises(ValueError) as info:
         analyze_text(text)

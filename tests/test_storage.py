@@ -1,9 +1,10 @@
-"""EventStore tests: layout roundtrips, partition pruning and the event
-count table."""
+"""EventStore tests: layout roundtrips, partition pruning, layouts opened
+once per write, and the event count table."""
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from pyspark.sql import DataFrameReader, DataFrameWriter
 
 from repro.core.compiler import pattern_df
 from repro.core.dependency import analyze_text
@@ -79,6 +80,61 @@ class TestPruning:
             time_range=(DAY0, DAY0 + 2 * 86_400_000))
         days = {r["day"] for r in two.select("day").distinct().collect()}
         assert days == {"2018-04-10", "2018-04-11"}
+
+
+class TestOpenedOnce:
+    """A store lists each layout on its first read and keeps it until its
+    own next ``write``."""
+
+    Q = '(at "04/10/2018")\nproc p read file f as e1\nreturn p, f'
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Calls of ``DataFrameReader.parquet``/``csv`` since the test began."""
+        calls = {"parquet": 0, "csv": 0}
+        for name in calls:
+            fn = getattr(DataFrameReader, name)
+
+            def counted(*a, __fn=fn, __name=name, **kw):
+                calls[__name] += 1
+                return __fn(*a, **kw)
+            monkeypatch.setattr(DataFrameReader, name, counted)
+        return calls
+
+    def test_many_queries_one_listing(self, spark, tmp_path, tiny, reads):
+        s = EventStore(spark, tmp_path)
+        s.write(tiny)
+        eng = AIQLEngine(spark, store=s)
+        for _ in range(3):
+            eng.execute(self.Q).collect()
+            s.events_partitioned(agentid=2).count()
+            s.events_flat().count()
+        assert reads == {"parquet": 1, "csv": 1}
+
+    def test_write_reopens(self, spark, tmp_path, tiny, reads):
+        s = EventStore(spark, tmp_path)
+        s.write(tiny)
+        eng = AIQLEngine(spark, store=s)
+        assert len(eng.execute(self.Q).collect()) == 3
+        s.write(tiny.filter("agentid = 1"))
+        assert len(eng.execute(self.Q).collect()) == 2
+        assert s.events_flat().count() == tiny.filter("agentid = 1").count()
+        assert reads == {"parquet": 2, "csv": 1}
+
+    def test_failed_write_drops_layouts(self, spark, tmp_path, tiny, reads,
+                                        monkeypatch):
+        s = EventStore(spark, tmp_path)
+        s.write(tiny)
+        assert s.events_partitioned().count() == tiny.count()
+
+        def fail(*a, **kw):
+            raise OSError("disk full")
+        # The partitioned layout is rewritten, then the flat one fails.
+        monkeypatch.setattr(DataFrameWriter, "csv", fail)
+        with pytest.raises(OSError):
+            s.write(tiny.filter("agentid = 1"))
+        assert s.events_partitioned().count() == tiny.filter("agentid = 1").count()
+        assert reads["parquet"] == 2
 
 
 class TestEngineOverStore:

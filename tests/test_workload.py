@@ -8,6 +8,7 @@ import pytest
 from repro.core.baseline import oracle_sql
 from repro.oracle import assert_equivalent
 from repro.workload.queries import QUERIES, query_by_name
+from tests.conftest import executed_plan, partitioned
 
 NAMES = [q.name for q in QUERIES]
 
@@ -61,6 +62,15 @@ class TestInvestigation:
         q = query_by_name(name)
         result = engine.execute(q.aiql)
         assert_equivalent(result, oracle_sql(q.aiql), events=events_pdf)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_oracle_equivalence_partitioned(self, engine, events_pdf, name):
+        """The same, with each query's scope read as a larger one is."""
+        q = query_by_name(name)
+        with partitioned(engine):
+            result = engine.execute(q.aiql)
+            assert "Coalesce" not in executed_plan(result)
+            assert_equivalent(result, oracle_sql(q.aiql), events=events_pdf)
 
     @pytest.mark.parametrize("name", NAMES)
     def test_ground_truth_recovered(self, engine, name):
