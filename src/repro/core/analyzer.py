@@ -215,7 +215,11 @@ def _walk_having(e, ana: Analysis, ks: set) -> None:
         ks.add(e.k)
     elif isinstance(e, AttrRef):
         if e.var is None:
-            if e.attr not in ana.agg_aliases and e.attr not in ana.return_names:
+            if e.attr in ana.return_names and e.attr not in ana.agg_aliases:
+                raise AIQLSemanticError(
+                    f"having may only test aggregates: filter {e.attr!r} "
+                    "in its event pattern")
+            if e.attr not in ana.agg_aliases:
                 raise AIQLSemanticError(f"unknown name {e.attr!r} in having")
         else:
             raise AIQLSemanticError(

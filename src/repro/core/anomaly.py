@@ -31,8 +31,7 @@ from pyspark.sql import functions as F
 
 from repro.core.analyzer import Analysis, group_cols
 from repro.core.ast import FuncCall
-from repro.core.compiler import pattern_filter
-from repro.core.expr import to_sql
+from repro.core.expr import pattern_sql, to_sql
 
 
 def window_bounds(ana: Analysis):
@@ -75,7 +74,7 @@ def run(events: DataFrame, ana: Analysis) -> DataFrame:
     alias = q.events[0].alias
     in_window, window_ids = window_sql(ana, "spark")
     gcols = group_cols(ana)
-    agg = (events.filter(pattern_filter(ana.pattern_preds[alias]))
+    agg = (events.filter(F.expr(pattern_sql(ana.pattern_preds[alias], "", "spark")))
            .filter(F.expr(in_window))
            .selectExpr("*", f"{window_ids} AS wid")
            .groupBy("wid", *gcols)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.compiler import sql_over
 from repro.core.dependency import analyze_text
 from repro.core.sqlgen import equivalent_sql
 
@@ -21,16 +22,10 @@ def baseline_sql(text: str, dialect: str = "spark", table: str = "events") -> st
     return equivalent_sql(analyze_text(text), dialect, table)
 
 
-def run_baseline(
-    spark: SparkSession,
-    text: str,
-    events: DataFrame,
-    view: str = "events",
-) -> DataFrame:
-    """Execute the big-SQL equivalent over ``events`` (registered as a temp
-    view) and return the result DataFrame."""
-    events.createOrReplaceTempView(view)
-    return spark.sql(baseline_sql(text, "spark", view))
+def run_baseline(spark: SparkSession, text: str, events: DataFrame) -> DataFrame:
+    """Execute the big-SQL equivalent over ``events`` and return the result
+    DataFrame."""
+    return sql_over(spark, events, lambda view: baseline_sql(text, "spark", view))
 
 
 def oracle_sql(text: str, table: str = "events") -> str:

@@ -2,9 +2,9 @@
 
 ``execute`` runs the full pipeline: the front end
 (``dependency.analyze_text``: parse → dependency compilation → semantic
-analysis) → (multievent: per-pattern data queries + pruning-power
-scheduling + left-deep join | anomaly: sliding window engine). ``plan``
-exposes the scheduling decision for inspection and tests.
+analysis) → (multievent: pruning-power scheduling, then the big SQL in
+that schedule over the query's scope | anomaly: sliding window engine).
+``plan`` exposes the scheduling decision for inspection and tests.
 
 Per paper §2.3 the engine "synthesizes a SQL data query for every event
 pattern and schedules the execution of these data queries", most pruning
@@ -12,9 +12,11 @@ first. Pruning power is scored without running any pattern: first the
 number of predicates the pattern lowers to, then a bound on its rows, the
 sum of the event count table (``storage.count_events``) over the query's
 agent and days for the pattern's ``etype`` and ``op``. A side whose bound
-is small is broadcast into its join. The whole query is then one Spark
-plan: nothing is probed and nothing is cached, so a query holds no memory
-beyond what computing its result takes.
+is small is broadcast into its join. The whole query is then one SQL
+statement, the synthesized big SQL with its FROM/JOIN list in that order
+and a ``BROADCAST`` hint (``compiler.join_multievent``): nothing is probed
+and nothing is cached, so a query holds no memory beyond what computing
+its result takes.
 
 The same sum over every ``etype`` and ``op`` is the query's scope. Most
 investigation queries name one host and one day, a few thousand events:
@@ -38,7 +40,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import anomaly as anomaly_mod
 from repro.core.analyzer import Analysis
-from repro.core.compiler import join_multievent, pattern_df, project_return
+from repro.core.compiler import join_multievent, project_return
 from repro.core.dependency import analyze_text
 from repro.core.scheduler import build_adjacency, order_patterns
 from repro.monitor.schema import day_labels
@@ -58,7 +60,6 @@ class MultieventPlan:
     counts: dict = field(default_factory=dict)      # alias -> row bound
     order: list = field(default_factory=list)       # chosen join order
     broadcast: set = field(default_factory=set)     # aliases broadcast
-    dfs: dict = field(default_factory=dict)         # alias -> pattern scan
     scope_rows: int = 0           # events in the query's agent and days
     one_partition: bool = False   # scope_rows <= BROADCAST_ROWS
 
@@ -110,22 +111,21 @@ class AIQLEngine:
     def _plan_multievent(self, ana: Analysis) -> MultieventPlan:
         per_kind = self._scope_counts(ana)
         scope_rows = sum(per_kind.values())
-        src = self._source(ana, scope_rows)
-        dfs = {ev.alias: pattern_df(src, ana, ev.alias) for ev in ana.query.events}
+        aliases = [ev.alias for ev in ana.query.events]
         # One pattern: nothing to schedule, one synthesized data query.
-        counts, order, bc = {}, list(dfs), set()
-        if len(dfs) > 1:
+        counts, order, bc = {}, aliases, set()
+        if len(aliases) > 1:
             # A pattern matches at most the scope's events of its kind.
-            counts = {a: per_kind.get((ana.event_etype[a], ev.op), 0)
-                      for a, ev in zip(dfs, ana.query.events)}
-            adj = build_adjacency(list(dfs), ana.join_conds, ana.query.temporal)
+            counts = {ev.alias: per_kind.get((ana.event_etype[ev.alias], ev.op), 0)
+                      for ev in ana.query.events}
+            adj = build_adjacency(aliases, ana.join_conds, ana.query.temporal)
             # Most predicates first, then the smallest bound.
-            power = {a: (-len(ana.pattern_preds[a]), counts[a]) for a in dfs}
+            power = {a: (-len(ana.pattern_preds[a]), counts[a]) for a in aliases}
             order = order_patterns(power, adj)
             # The first (driving) pattern is never broadcast — it is the
             # side the join pipeline streams from.
             bc = {a for a in order[1:] if counts[a] <= BROADCAST_ROWS}
-        return MultieventPlan(ana, counts, order, bc, dfs, scope_rows,
+        return MultieventPlan(ana, counts, order, bc, scope_rows,
                               scope_rows <= BROADCAST_ROWS)
 
     def plan(self, text: str) -> MultieventPlan:
@@ -146,5 +146,6 @@ class AIQLEngine:
             return anomaly_mod.run(
                 self._source(ana, sum(self._scope_counts(ana).values())), ana)
         plan = self._plan_multievent(ana)
-        joined = join_multievent(plan.dfs, ana, plan.order, plan.broadcast)
+        joined = join_multievent(self._source(ana, plan.scope_rows), ana,
+                                 plan.order, plan.broadcast)
         return project_return(joined, ana)

@@ -3,10 +3,11 @@
 This is the one lowering of an :class:`~repro.core.analyzer.Analysis`:
 pattern predicates, the cross-pattern join and temporal conditions, and
 ``having`` trees, each written by exactly one function here. The
-synthesized big SQL (``sqlgen``) assembles them into one statement; the
-engine (``compiler``, ``anomaly``) parses the same spark-dialect text with
-``F.expr``, so the engine, the Spark baseline and the DuckDB oracle cannot
-disagree on how a predicate reads (the oracle then verifies the plans).
+synthesized big SQL (``sqlgen``) assembles them into one statement, which
+the multievent engine runs too (``compiler``); the anomaly engine parses
+the same spark-dialect text with ``F.expr``. So the engine, the Spark
+baseline and the DuckDB oracle cannot disagree on how a predicate reads
+(the oracle then verifies the plans).
 
 AIQL strings are literal except for the ``%`` wildcard. A LIKE pattern
 escapes ``\\`` and ``_`` with ``\\`` (:func:`like_pattern`), the default
@@ -61,6 +62,11 @@ def pred_sql(p, prefix: str, dialect: str) -> str:
         if dialect == "duckdb" and v != p.value:
             escape = " ESCAPE '\\'"
     return f"{prefix}{p.col} {SQL_OPS.get(p.op, p.op)} {sql_quote(v, dialect)}{escape}"
+
+
+def pattern_sql(preds: list, prefix: str, dialect: str) -> str:
+    """The AND of one event pattern's lowered predicates."""
+    return " AND ".join(pred_sql(p, prefix, dialect) for p in preds)
 
 
 def temporal_sql(tc) -> str:

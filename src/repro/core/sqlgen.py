@@ -4,19 +4,22 @@ For every AIQL query this emits the semantically equivalent SQL that a
 security analyst would have to hand-write against the flat relational event
 table — the paper's comparison target ("these languages often lead to large
 queries with many joins and constraints mixed together"). The text serves
-three roles:
+four roles:
 
 * the **baseline** executed by ``spark.sql`` (Table A),
 * the **correctness oracle** input executed by DuckDB,
-* the **conciseness** comparison corpus (Table B).
+* the **conciseness** comparison corpus (Table B),
+* the **engine's** multievent plan: the same statement written in AIQL's
+  schedule (join order and broadcast hints from the pruning-power
+  scheduler) and run by ``spark.sql`` over the partition-pruned source
+  (``compiler.join_multievent``).
 
 Every piece of the text — pattern predicates, join and temporal
 conditions, ``having`` (``expr``), window ids and aggregates
-(``anomaly``) — comes from the function the engine also parses with
-``F.expr``; this module only assembles it. Multievent SQL is
-dialect-portable except for literals (``expr.sql_quote``) and the LIKE
-escape clause DuckDB needs; anomaly SQL differs also in the
-array-explosion idiom (Spark ``explode(sequence(...))`` vs
+(``anomaly``) — is written once, in those modules; this module only
+assembles it. Multievent SQL is dialect-portable except for literals
+(``expr.sql_quote``) and the LIKE escape clause DuckDB needs; anomaly SQL
+differs also in the array-explosion idiom (Spark ``explode(sequence(...))`` vs
 DuckDB/PostgreSQL ``unnest(generate_series(...))``).
 """
 from __future__ import annotations
@@ -24,25 +27,29 @@ from __future__ import annotations
 from repro.core.analyzer import Analysis, group_cols
 from repro.core.anomaly import agg_sql, window_sql
 from repro.core.ast import FuncCall
-from repro.core.expr import link_sql, pred_sql, to_sql
+from repro.core.expr import link_sql, pattern_sql, to_sql
 
 
 # ------------------------------------------------------------- multievent
-def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events") -> str:
+def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events",
+                   order: list[str] | None = None, broadcast=frozenset()) -> str:
     """The flat self-join formulation an analyst would hand-write: one
     ``events`` scan per event pattern, explicit JOIN ... ON clauses carrying
     the entity and temporal relationships, and every pattern constraint
-    mixed into one WHERE."""
+    mixed into one WHERE.
+
+    ``order`` (default: declaration order) is the FROM/JOIN order, and each
+    cross-pattern condition goes into the ON clause of the later of its two
+    patterns in it, the earliest join where both are placed. A non-empty
+    ``broadcast`` names the patterns a ``BROADCAST`` hint marks."""
     q = ana.query
-    aliases = [ev.alias for ev in q.events]
+    aliases = order or [ev.alias for ev in q.events]
     pos = {a: i for i, a in enumerate(aliases)}
     sel = []
     for it, name in zip(q.return_items, ana.return_names):
         a, c, _ = ana.resolve_ref(it.expr)
         sel.append(f"{a}.{c} AS {name}")
 
-    # Each cross-pattern condition attaches to the ON clause of the later
-    # (in declaration order) of its two patterns.
     on: dict[str, list[str]] = {a: [] for a in aliases}
     for sides, cond in link_sql(ana):
         on[max(sides, key=pos.get)].append(cond)
@@ -54,14 +61,15 @@ def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events")
         else:
             frm.append(f"CROSS JOIN {table} {a}")
 
-    where: list[str] = []
-    for a in aliases:
-        where += [pred_sql(p, f"{a}.", dialect) for p in ana.pattern_preds[a]]
+    where = " AND ".join(pattern_sql(ana.pattern_preds[a], f"{a}.", dialect)
+                         for a in aliases)
+    hint = (f"/*+ BROADCAST({', '.join(a for a in aliases if a in broadcast)}) */ "
+            if broadcast else "")
     distinct = "DISTINCT " if q.distinct else ""
     return (
-        f"SELECT {distinct}{', '.join(sel)}\n"
+        f"SELECT {hint}{distinct}{', '.join(sel)}\n"
         + "\n".join(frm)
-        + f"\nWHERE {' AND '.join(where)}"
+        + f"\nWHERE {where}"
     )
 
 
@@ -73,7 +81,7 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") ->
         raise ValueError(f"unknown dialect {dialect!r}")
     q = ana.query
     alias = q.events[0].alias
-    preds = " AND ".join(pred_sql(p, "", dialect) for p in ana.pattern_preds[alias])
+    preds = pattern_sql(ana.pattern_preds[alias], "", dialect)
     in_window, window_ids = window_sql(ana, dialect)
     gcols = group_cols(ana)
     gsel = "".join(f"{c}, " for c in gcols)

@@ -231,6 +231,12 @@ class TestAnomalyValidation:
         with pytest.raises(AIQLSemanticError, match="unknown name"):
             ana(self.GOOD + 'having zzz > 1')
 
+    def test_having_grouped_name_raises(self):
+        """The per-window aggregate has no column ``p``; a test of ``p``
+        belongs in its event pattern."""
+        with pytest.raises(AIQLSemanticError, match="filter 'p' in its event pattern"):
+            ana(self.GOOD + 'having amt > 1 and p = "powershell.exe"')
+
     def test_having_in_multievent_raises(self):
         with pytest.raises(AIQLSemanticError, match="anomaly"):
             ana('proc p read file f as e1\nreturn p\nhaving p > 1')

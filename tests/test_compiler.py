@@ -1,17 +1,13 @@
-"""Pattern-compiler tests: pattern filters, alias-qualified scans, temporal
-conditions, projection. Filters and conditions are the spark-dialect SQL
-text of ``expr``, so each test checks what Spark makes of that text."""
+"""Pattern-compiler tests: pattern filters, temporal conditions, and the
+scheduled big SQL with its projection. Filters and conditions are the
+spark-dialect SQL text of ``expr``, so each test checks what Spark makes of
+that text."""
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.analyzer import OrGroup, Pred, analyze
 from repro.core.ast import TemporalConstraint
-from repro.core.compiler import (
-    join_multievent,
-    pattern_df,
-    pattern_filter,
-    project_return,
-)
+from repro.core.compiler import join_multievent, pattern_filter, project_return
 from repro.core.expr import temporal_sql
 from repro.core.parser import parse
 
@@ -67,25 +63,6 @@ class TestPredToColumn:
         assert df.filter(pattern_filter([])).count() == df.count()
 
 
-class TestPatternDf:
-    def test_alias_qualifies_columns(self, tiny):
-        a = ana('proc p read file f as e1\nreturn p')
-        df = pattern_df(tiny, a, "e1")
-        assert df.columns == tiny.columns
-        assert df.select("e1.s_name").columns == ["s_name"]
-
-    def test_applies_filters(self, tiny):
-        a = ana('proc p["bash"] read file f as e1\nreturn p')
-        rows = pattern_df(tiny, a, "e1").collect()
-        assert all(r["s_name"] == "bash" for r in rows)
-        assert len(rows) == 1  # only the t+500 bash file read
-
-    def test_etype_op_pruning(self, tiny):
-        a = ana('proc p start proc q as e1\nreturn p')
-        rows = pattern_df(tiny, a, "e1").collect()
-        assert {r["op"] for r in rows} == {"start"}
-
-
 def ts_pairs(spark, *pairs):
     """One row per ``(a.ts, b.ts)`` pair, under the event aliases a and b."""
     df = spark.createDataFrame([(i, a, b) for i, (a, b) in enumerate(pairs)],
@@ -114,45 +91,38 @@ class TestTemporalCondition:
 
 
 class TestJoinAndProject:
+    """``join_multievent`` runs the big SQL in the engine's schedule; the
+    order and the broadcast hints change the plan, never the rows."""
     Q = ('proc p start proc q as e1\n'
          'proc q read file f as e2\n'
          'with e1 before e2\n'
          'return p, q, f')
 
+    @staticmethod
+    def run(tiny, text, order, broadcast=frozenset()):
+        a = ana(text)
+        out = project_return(join_multievent(tiny, a, order, broadcast), a)
+        return out.collect()
+
     def test_two_pattern_join(self, tiny):
-        a = ana(self.Q)
-        dfs = {al: pattern_df(tiny, a, al) for al in ("e1", "e2")}
-        j = join_multievent(dfs, a, ["e1", "e2"])
-        out = project_return(j, a).collect()
+        out = self.run(tiny, self.Q, ["e1", "e2"])
         # bash starts python (t+1000) -> python reads /tmp/x (t+2000, t+next-day)
         # and nginx starts sh (t+10000) -> sh reads /etc/passwd (t+11000)
         assert {(r["p"], r["q"], r["f"]) for r in out} == {
             ("bash", "python", "/tmp/x"), ("nginx", "sh", "/etc/passwd")}
 
     def test_join_order_invariant(self, tiny):
-        a = ana(self.Q)
-        dfs = {al: pattern_df(tiny, a, al) for al in ("e1", "e2")}
-        out1 = set(map(tuple, project_return(
-            join_multievent(dfs, a, ["e1", "e2"]), a).collect()))
-        a2 = ana(self.Q)
-        dfs2 = {al: pattern_df(tiny, a2, al) for al in ("e1", "e2")}
-        out2 = set(map(tuple, project_return(
-            join_multievent(dfs2, a2, ["e2", "e1"]), a2).collect()))
+        out1 = set(map(tuple, self.run(tiny, self.Q, ["e1", "e2"])))
+        out2 = set(map(tuple, self.run(tiny, self.Q, ["e2", "e1"])))
         assert out1 == out2
 
     def test_broadcast_matches_plain(self, tiny):
-        a = ana(self.Q)
-        dfs = {al: pattern_df(tiny, a, al) for al in ("e1", "e2")}
-        plain = set(map(tuple, project_return(
-            join_multievent(dfs, a, ["e1", "e2"]), a).collect()))
-        bcast = set(map(tuple, project_return(
-            join_multievent(dfs, a, ["e1", "e2"], broadcast={"e2"}), a).collect()))
+        plain = set(map(tuple, self.run(tiny, self.Q, ["e1", "e2"])))
+        bcast = set(map(tuple, self.run(tiny, self.Q, ["e1", "e2"], {"e2"})))
         assert plain == bcast
 
     def test_distinct(self, tiny):
         # curl writes /tmp/y and sh writes /tmp/y -> two rows; distinct on f
-        a = ana('proc p write file f as e1\nreturn distinct f')
-        dfs = {"e1": pattern_df(tiny, a, "e1")}
-        out = project_return(join_multievent(dfs, a, ["e1"]), a).collect()
+        out = self.run(tiny, 'proc p write file f as e1\nreturn distinct f', ["e1"])
         names = [r["f"] for r in out]
         assert len(names) == len(set(names))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import engine as engine_mod
 from repro.core.baseline import oracle_sql, run_baseline
+from repro.core.compiler import pattern_filter
 from repro.core.engine import AIQLEngine
 from repro.monitor.schema import event_spark_schema
 from repro.oracle import assert_same_rows, run_duckdb
@@ -17,6 +18,13 @@ AT = '(at "04/10/2018")\n'
 
 def rows(engine, text):
     return {tuple(r) for r in engine.execute(text).collect()}
+
+
+def pattern_rows(engine, plan):
+    """Alias -> the rows its pattern matches in the plan's scoped source."""
+    src = engine._source(plan.analysis, plan.scope_rows)
+    return {a: src.filter(pattern_filter(preds)).count()
+            for a, preds in plan.analysis.pattern_preds.items()}
 
 
 class TestSingleEvent:
@@ -221,18 +229,21 @@ class TestQuoteStrings:
 @pytest.fixture(scope="module")
 def underscore_pdf():
     """A file whose name has ``_`` where the other has another character:
-    only the reading of ``_`` as a LIKE wildcard matches both."""
+    only the reading of ``_`` as a LIKE wildcard matches both. And a file
+    whose name has braces."""
     t = DAY0
     return make_events([
         file_ev(1, t + 1_000, "write", "b1", "curl", "/tmp/info_stealer"),
         file_ev(1, t + 2_000, "write", "b1", "curl", "/tmp/infoXstealer"),
         file_ev(1, t + 3_000, "write", "c1", "wget", "c:\\info_stealer"),
+        file_ev(1, t + 4_000, "write", "d1", "vim", "/tmp/%{x}%a}{b"),
     ])
 
 
 class TestUnderscoreStrings:
     """``_`` in an AIQL string matches only itself: the engine, the Spark
-    baseline and DuckDB return exactly the rows with a literal ``_``."""
+    baseline and DuckDB return exactly the rows with a literal ``_``. So do
+    ``{`` and ``}``, which no formatter may read as fields."""
 
     @pytest.mark.parametrize("q, want", [
         ('proc p write file f["%info_stealer%"] as e1\nreturn p, f',
@@ -241,7 +252,9 @@ class TestUnderscoreStrings:
          {("wget", "c:\\info_stealer")}),
         ('proc p["curl"] write file f[name != "%o_s%"] as e1\nreturn p, f',
          {("curl", "/tmp/infoXstealer")}),
-    ], ids=["like", "like-after-backslash", "not-like"])
+        ('proc p write file f["%{x}%a}{b"] as e1\nreturn p, f',
+         {("vim", "/tmp/%{x}%a}{b")}),
+    ], ids=["like", "like-after-backslash", "not-like", "braces"])
     def test_engine_baseline_duckdb_agree(self, spark, underscore_pdf, q, want):
         text = AT + q
         events = spark.createDataFrame(underscore_pdf, schema=event_spark_schema())
@@ -262,7 +275,7 @@ class TestPlanAndScheduling:
         # alone matches e2.
         p = tiny_engine.plan(self.Q)
         assert p.counts == {"e1": 3, "e2": 3}
-        assert {a: df.count() for a, df in p.dfs.items()} == {"e1": 3, "e2": 1}
+        assert pattern_rows(tiny_engine, p) == {"e1": 3, "e2": 1}
 
     def test_most_selective_first(self, tiny_engine):
         # Equal bounds: e2's extra subject predicate puts it first.
@@ -284,7 +297,7 @@ class TestPlanAndScheduling:
                              'agentid = 1\nproc p read file f as e1\n'
                              'proc q["bash"] write file f as e2\nreturn p, q')
         assert p.counts == {"e1": 3, "e2": 1}
-        assert p.dfs["e2"].count() == 0
+        assert pattern_rows(tiny_engine, p)["e2"] == 0
 
     def test_driving_pattern_not_broadcast(self, tiny_engine):
         p = tiny_engine.plan(self.Q)
@@ -325,12 +338,13 @@ _EVENTS = [("start", "proc"), ("execute", "proc"), ("read", "file"),
            ("write", "file"), ("delete", "file"), ("read", "ip"),
            ("write", "ip"), ("connect", "ip")]
 #: Filter strings: names in the fixtures, ``%`` patterns, strings whose
-#: ``_`` or ``\`` may match only itself, and strings with a quote that
-#: match a fixture name only if ``''`` is read as two adjacent literals.
+#: ``_`` or ``\`` may match only itself, strings with a quote that
+#: match a fixture name only if ``''`` is read as two adjacent literals,
+#: and braces, which a text formatter would read as fields.
 _STRINGS = ["bash", "python", "/tmp/x", "%sh%", "%/tmp/%", "svchost.exe",
             "%chrome%", "%.exe", "%.dll", "%/var/log/%", "%203.0.113.1%",
             "%av_scan%", "%v_s%", "%o_%", "%\\temp%", "c:\\temp\\t.exe",
-            "bas'h", "%pyt'hon%"]
+            "bas'h", "%pyt'hon%", "%{x}%", "a}{b"]
 _CMP = ["=", "!=", "<", "<=", ">", ">="]
 
 

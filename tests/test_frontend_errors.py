@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.analyzer import AIQLSemanticError
 from repro.core.baseline import baseline_sql, oracle_sql
+from repro.core.compiler import join_multievent
 from repro.core.dependency import analyze_text
 from repro.core.engine import AIQLEngine
 from repro.core.lexer import AIQLSyntaxError
@@ -88,8 +89,9 @@ def test_mutated_workload_raises_only_aiql_errors():
 def test_sql_keyword_names_rejected_or_run(spark, tiny, tiny_pdf):
     """Every keyword of DuckDB's or Spark's SQL parser, and every event
     column name, used as an event alias and as an output column name, is
-    either rejected by the front end or gets through the engine's
-    DataFrame build, Spark's analysis of the baseline text and DuckDB's
+    either rejected by the front end or gets through Spark's analysis of
+    the engine's text (with the alias as the driving FROM item and as a
+    ``BROADCAST`` hint parameter) and of the baseline text, and DuckDB's
     binding of the oracle text. Nothing is executed."""
     engine = AIQLEngine(spark, events=tiny)
     tiny.createOrReplaceTempView("events")
@@ -105,11 +107,13 @@ def test_sql_keyword_names_rejected_or_run(spark, tiny, tiny_pdf):
             text = (f"proc p read file f as {w}\nproc q write file f as e2\n"
                     f"with {w} before e2\nreturn p as {w}, q")
             try:
-                analyze_text(text)
+                ana = analyze_text(text)
             except (AIQLSyntaxError, AIQLSemanticError):
                 continue
             for backend, build in (
                     ("engine", lambda: engine.execute(text)),
+                    ("driving", lambda: join_multievent(tiny, ana, [w, "e2"], {"e2"})),
+                    ("hint", lambda: join_multievent(tiny, ana, ["e2", w], {w})),
                     ("spark", lambda: spark.sql(baseline_sql(text, "spark"))),
                     ("duckdb", lambda: con.execute("EXPLAIN " + oracle_sql(text)))):
                 try:

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from pyspark.sql import DataFrameReader, DataFrameWriter
 
-from repro.core.compiler import pattern_df
+from repro.core.compiler import pattern_filter
 from repro.core.dependency import analyze_text
 from repro.core.engine import AIQLEngine
 from repro.monitor.storage import EventCounts, EventStore
@@ -158,10 +158,10 @@ class TestEventCounts:
     @pytest.mark.parametrize("name", MULTI_PATTERN)
     def test_bounds_cover_pattern_rows(self, spark, store, name):
         plan = AIQLEngine(spark, store=store).plan(query_by_name(name).aiql)
-        q = plan.analysis.query
+        q, preds = plan.analysis.query, plan.analysis.pattern_preds
         src = store.events_partitioned(q.time_range, q.agentid)
         for alias, bound in plan.counts.items():
-            assert bound >= pattern_df(src, plan.analysis, alias).count(), alias
+            assert bound >= src.filter(pattern_filter(preds[alias])).count(), alias
 
     def test_rewrite_refreshes_bounds(self, spark, tmp_path, tiny):
         s = EventStore(spark, tmp_path)

@@ -2,10 +2,13 @@
 for (1) oracle result-equivalence against the synthesized SQL in DuckDB via
 ``repro.oracle.assert_equivalent``, and (2) recovery of the injected attack
 ground truth."""
+import re
+
 import pandas as pd
 import pytest
 
 from repro.core.baseline import oracle_sql
+from repro.core.engine import AIQLEngine
 from repro.oracle import assert_equivalent
 from repro.workload.queries import QUERIES, query_by_name
 from tests.conftest import executed_plan, partitioned
@@ -80,6 +83,24 @@ class TestInvestigation:
             assert len(match(got, exp)) >= 1, f"{name}: missing {exp}"
         for exp in q.absent:
             assert len(match(got, exp)) == 0, f"{name}: unexpected {exp}"
+
+    @pytest.mark.parametrize("name", ["q08_creds_exfil", "q20_initial_compromise"])
+    def test_executed_schedule(self, spark, store, name):
+        """The engine's SQL runs in the planned schedule: the leftmost scan
+        of the executed plan is the driving pattern's (named here by its
+        operation, which no other pattern of the query has), and every
+        broadcast side, and only those, is a broadcast hash join."""
+        eng, text = AIQLEngine(spark, store=store), query_by_name(name).aiql
+        with partitioned(eng):
+            plan = eng.plan(text)
+            ops = {ev.alias: ev.op for ev in plan.analysis.query.events}
+            assert plan.order != list(ops)
+            assert list(ops.values()).count(ops[plan.order[0]]) == 1
+            # The adaptive plan's initial physical plan, before any stage runs.
+            executed = eng.execute(text)._jdf.queryExecution().executedPlan().inputPlan()
+        leftmost = executed.collectLeaves().apply(0).dataFilters().mkString(" AND ")
+        assert re.search(rf"\bop#\d+ = {ops[plan.order[0]]}\)", leftmost), leftmost
+        assert executed.toString().count("BroadcastHashJoin") == len(plan.broadcast) > 0
 
     def test_investigation_narrative_a5(self, engine):
         """The paper's §3 investigation storyline end-to-end: the anomaly
