@@ -5,9 +5,9 @@ the implicit attribute relationships from shared variables (paper §2.2.1 —
 "Lines 4-5 specify the same f1 in both events"), validates operations against
 the data model, and lowers every bracket/global filter to predicates over the
 physical event-table columns. The result (:class:`Analysis`) is the single
-source of truth lowered to SQL text once (``expr.py``), which both the
-engine (``compiler.py``, ``anomaly.py``) and the equivalent-SQL synthesizer
-(``sqlgen.py``) run, so the engine, the baseline and the correctness oracle
+source of truth lowered to SQL text once (``expr.py``) and assembled into
+one statement (``sqlgen.py``), which the engine (``compiler.py``,
+``anomaly.py``), the baseline and the correctness oracle all run, so they
 read every predicate alike.
 """
 from __future__ import annotations
@@ -55,11 +55,11 @@ EVENT_ATTRS = {"amount": "amount", "ts": "ts", "op": "op",
 
 AGG_FUNCS = ("avg", "sum", "count", "min", "max")
 
-#: Words the synthesized SQL, and the engine that parses the same text, cannot
-#: take as an event alias or an output column name (compared ignoring case):
-#: DuckDB's 75 reserved keywords (``duckdb_keywords()``), plus the words that
-#: Spark's or DuckDB's parser reads as join syntax, an operator or a literal
-#: where an alias belongs. ``tests/test_frontend_errors.py`` checks that every
+#: Words the synthesized SQL, which the engine runs too, cannot take as an
+#: event alias or an output column name (compared ignoring case): DuckDB's
+#: 75 reserved keywords (``duckdb_keywords()``), plus the words that Spark's
+#: or DuckDB's parser reads as join syntax, an operator or a literal where an
+#: alias belongs. ``tests/test_frontend_errors.py`` checks that every
 #: other keyword of either parser works in both places.
 SQL_RESERVED = frozenset({
     "all", "analyse", "analyze", "and", "anti", "any", "array", "as", "asc",

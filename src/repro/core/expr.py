@@ -1,13 +1,13 @@
 """SQL text for the pieces of a lowered AIQL query.
 
 This is the one lowering of an :class:`~repro.core.analyzer.Analysis`:
-pattern predicates, the cross-pattern join and temporal conditions, and
-``having`` trees, each written by exactly one function here. The
-synthesized big SQL (``sqlgen``) assembles them into one statement, which
-the multievent engine runs too (``compiler``); the anomaly engine parses
-the same spark-dialect text with ``F.expr``. So the engine, the Spark
-baseline and the DuckDB oracle cannot disagree on how a predicate reads
-(the oracle then verifies the plans).
+pattern predicates, the cross-pattern join and temporal conditions,
+``having`` trees, and an anomaly query's window ids and aggregates, each
+written by exactly one function here. The synthesized big SQL (``sqlgen``)
+assembles them into one statement, which the engine runs too
+(``compiler``, ``anomaly``). So the engine, the Spark baseline and the
+DuckDB oracle cannot disagree on how a predicate reads (the oracle then
+verifies the plans).
 
 AIQL strings are literal except for the ``%`` wildcard. A LIKE pattern
 escapes ``\\`` and ``_`` with ``\\`` (:func:`like_pattern`), the default
@@ -87,6 +87,39 @@ def link_sql(ana: Analysis) -> list[tuple[tuple[str, str], str]]:
              for a1, c1, a2, c2 in ana.join_conds]
     return links + [((tc.left, tc.right), temporal_sql(tc))
                     for tc in ana.query.temporal]
+
+
+def window_bounds(ana: Analysis):
+    """(t0, window, step, kmax): window k covers [t0 + k*step, +window)."""
+    q = ana.query
+    t0, t1 = q.time_range
+    kmax = (t1 - t0 - 1) // q.step_ms
+    return t0, q.window_ms, q.step_ms, kmax
+
+
+def window_sql(ana: Analysis, dialect: str) -> tuple[str, str]:
+    """SQL text over ``ts`` for the sliding windows: the condition that some
+    window holds the event, and the expression that explodes the event into
+    the ids ``lo..hi`` of every window holding it."""
+    t0, w, s, kmax = window_bounds(ana)
+    lo = (f"GREATEST(CAST(0 AS BIGINT), "
+          f"CAST(FLOOR((ts - {t0} - {w}) / {s}) AS BIGINT) + 1)")
+    hi = (f"LEAST(CAST({kmax} AS BIGINT), "
+          f"CAST(FLOOR((ts - {t0}) / {s}) AS BIGINT))")
+    ids = "explode(sequence" if dialect == "spark" else "unnest(generate_series"
+    return f"{lo} <= {hi}", f"{ids}({lo}, {hi}))"
+
+
+def agg_sql(ana: Analysis) -> list[str]:
+    """Each aggregate return item as SQL text, ``FN(col) AS name``."""
+    out = []
+    for name, fc in ana.agg_aliases.items():
+        if not fc.args:
+            out.append(f"COUNT(*) AS {name}")
+        else:
+            _, col, _ = ana.resolve_ref(fc.args[0])
+            out.append(f"{fc.name.upper()}({col}) AS {name}")
+    return out
 
 
 def to_sql(

@@ -9,25 +9,31 @@ four roles:
 * the **baseline** executed by ``spark.sql`` (Table A),
 * the **correctness oracle** input executed by DuckDB,
 * the **conciseness** comparison corpus (Table B),
-* the **engine's** multievent plan: the same statement written in AIQL's
-  schedule (join order and broadcast hints from the pruning-power
-  scheduler) and run by ``spark.sql`` over the partition-pruned source
-  (``compiler.join_multievent``).
+* the **engine's** plan, run by ``spark.sql`` over the partition-pruned
+  source: a multievent statement written in AIQL's schedule (join order
+  and broadcast hints from the pruning-power scheduler;
+  ``compiler.join_multievent``), an anomaly statement with its history
+  read from a window frame instead of a self-join (``anomaly.run``).
 
 Every piece of the text — pattern predicates, join and temporal
-conditions, ``having`` (``expr``), window ids and aggregates
-(``anomaly``) — is written once, in those modules; this module only
-assembles it. Multievent SQL is dialect-portable except for literals
-(``expr.sql_quote``) and the LIKE escape clause DuckDB needs; anomaly SQL
-differs also in the array-explosion idiom (Spark ``explode(sequence(...))`` vs
+conditions, ``having``, window ids and aggregates — is written once, in
+``expr``; this module only assembles it. Multievent SQL is
+dialect-portable except for literals (``expr.sql_quote``) and the LIKE
+escape clause DuckDB needs; anomaly SQL differs also in the
+array-explosion idiom (Spark ``explode(sequence(...))`` vs
 DuckDB/PostgreSQL ``unnest(generate_series(...))``).
 """
 from __future__ import annotations
 
 from repro.core.analyzer import Analysis, group_cols
-from repro.core.anomaly import agg_sql, window_sql
 from repro.core.ast import FuncCall
-from repro.core.expr import link_sql, pattern_sql, to_sql
+from repro.core.expr import agg_sql, link_sql, pattern_sql, to_sql, window_sql
+
+
+def check_dialect(dialect: str) -> None:
+    """The renderers write any dialect but ``spark`` as DuckDB/PostgreSQL."""
+    if dialect not in ("spark", "duckdb", "postgres"):
+        raise ValueError(f"unknown dialect {dialect!r}")
 
 
 # ------------------------------------------------------------- multievent
@@ -42,6 +48,7 @@ def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events",
     cross-pattern condition goes into the ON clause of the later of its two
     patterns in it, the earliest join where both are placed. A non-empty
     ``broadcast`` names the patterns a ``BROADCAST`` hint marks."""
+    check_dialect(dialect)
     q = ana.query
     aliases = order or [ev.alias for ev in q.events]
     pos = {a: i for i, a in enumerate(aliases)}
@@ -74,21 +81,50 @@ def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events",
 
 
 # ---------------------------------------------------------------- anomaly
-def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") -> str:
+def history_sql(ana: Analysis) -> str:
+    """``agg`` plus a column ``amt[k]`` per history access (quoted; no AIQL
+    alias holds a ``[``): the group's ``amt`` in the window frame
+    ``[wid - k, wid - k]``, NULL for a key with a NULL column as in the
+    equi-join."""
+    gcols = group_cols(ana)
+    keyed = " AND ".join(f"{c} IS NOT NULL" for c in gcols)
+    by = f"PARTITION BY {', '.join(gcols)} " if gcols else ""
+    cols = []
+    for k in ana.hist_ks:
+        for n in ana.agg_aliases:
+            col = (f"FIRST({n}) OVER ({by}ORDER BY wid "
+                   f"RANGE BETWEEN {k} PRECEDING AND {k} PRECEDING)")
+            if keyed:
+                col = f"CASE WHEN {keyed} THEN {col} END"
+            cols.append(f"{col} AS `{n}[{k}]`")
+    return f"(SELECT *, {', '.join(cols)} FROM agg)"
+
+
+def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events",
+                history: str = "join") -> str:
     """Sliding windows + historical aggregates as explicit SQL: window-id
-    explosion, GROUP BY, and one self LEFT JOIN per history depth."""
-    if dialect not in ("spark", "duckdb", "postgres"):
-        raise ValueError(f"unknown dialect {dialect!r}")
+    explosion, GROUP BY, and one self LEFT JOIN per history depth, or with
+    ``history="window"`` (spark, the engine's) no join but
+    :func:`history_sql`, which over one partition needs no shuffle."""
+    check_dialect(dialect)
     q = ana.query
     alias = q.events[0].alias
     preds = pattern_sql(ana.pattern_preds[alias], "", dialect)
     in_window, window_ids = window_sql(ana, dialect)
     gcols = group_cols(ana)
     gsel = "".join(f"{c}, " for c in gcols)
-    joins = []
-    for k in ana.hist_ks:
-        on = [f"h{k}.{c} = a.{c}" for c in gcols] + [f"h{k}.wid = a.wid - {k}"]
-        joins.append(f"LEFT JOIN agg h{k} ON {' AND '.join(on)}")
+    base, joins = "agg", []
+    if history == "join":
+        for k in ana.hist_ks:
+            on = [f"h{k}.{c} = a.{c}" for c in gcols] + [f"h{k}.wid = a.wid - {k}"]
+            joins.append(f"LEFT JOIN agg h{k} ON {' AND '.join(on)}")
+        hist = "h{k}.{n}"
+    elif history == "window":
+        if ana.hist_ks:
+            base = history_sql(ana)
+        hist = "a.`{n}[{k}]`"
+    else:
+        raise ValueError(f"unknown history lookup {history!r}")
     sel = []
     for it, name in zip(q.return_items, ana.return_names):
         if isinstance(it.expr, FuncCall):
@@ -101,7 +137,7 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") ->
         cond = to_sql(
             q.having,
             resolve_name=lambda n: f"a.{n}",
-            resolve_hist=lambda n, k: f"h{k}.{n}",
+            resolve_hist=lambda n, k: hist.format(n=n, k=k),
             dialect=dialect,
         )
         having = f"\nWHERE {cond}"
@@ -116,7 +152,7 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events") ->
         f"  GROUP BY wid{''.join(', ' + c for c in gcols)}\n"
         f")\n"
         f"SELECT {distinct}{', '.join(sel)}\n"
-        f"FROM agg a\n" + "\n".join(joins) + having
+        f"FROM {base} a\n" + "\n".join(joins) + having
     )
 
 

@@ -224,6 +224,18 @@ class TestOracleAgreement:
         assert_same_rows(
             run_baseline(spark, text, win_engine.events).toPandas(), want)
 
+    def test_aggregate_alias_named_like_a_history_lookup(self, spark, win_engine,
+                                                          win_pdf):
+        """An aggregate alias may read like a name the engine gives a
+        history lookup."""
+        text = q('proc p write ip i as e\nreturn p, avg(e.amount) as amt, '
+                 'sum(e.amount) as __h1__amt\ngroup by p\nhaving amt > amt[1]')
+        want = run_duckdb(oracle_sql(text), events=win_pdf)
+        assert len(want) > 0
+        assert_same_rows(win_engine.execute(text).toPandas(), want)
+        assert_same_rows(
+            run_baseline(spark, text, win_engine.events).toPandas(), want)
+
     def test_workload_anomaly_on_trace(self, engine, events_pdf):
         from repro.workload.queries import query_by_name
         text = query_by_name("q01_anomaly_exfil").aiql

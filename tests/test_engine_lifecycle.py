@@ -50,6 +50,13 @@ def rows(df) -> set:
     return {tuple(r) for r in df.collect()}
 
 
+def assert_history_window(plan: str) -> None:
+    """q01's ``amt[1]`` is read by a window over the aggregate, not by a
+    self-join."""
+    assert "Window" in plan
+    assert "SortMergeJoin" not in plan and "BroadcastHashJoin" not in plan
+
+
 class TestPinning:
     def test_multievent_pins_nothing(self, spark, tiny, cached):
         eng = AIQLEngine(spark, events=tiny)
@@ -146,13 +153,16 @@ class TestOnePartition:
         plan = executed_plan(store_engine.execute(query_by_name(name).aiql))
         assert "Coalesce 1" in plan
         assert "Exchange hashpartitioning" not in plan
+        if name == "q01_anomaly_exfil":
+            assert_history_window(plan)
 
     def test_larger_scope_shuffles(self, store_engine, monkeypatch):
         monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", 0)
-        plan = executed_plan(
-            store_engine.execute(query_by_name("q02_powershell_reads").aiql))
-        assert "Coalesce" not in plan
-        assert "Exchange hashpartitioning" in plan
+        for name in ("q02_powershell_reads", "q01_anomaly_exfil"):
+            plan = executed_plan(store_engine.execute(query_by_name(name).aiql))
+            assert "Coalesce" not in plan
+            assert "Exchange hashpartitioning" in plan
+        assert_history_window(plan)
 
     def test_single_pattern_distinct_is_one_job(self, spark, store_engine):
         before = jobs_started(spark)

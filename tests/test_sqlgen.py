@@ -96,9 +96,16 @@ class TestAnomalyText:
         sql = sql_of(self.Q)
         assert "(a.amt > ((2 * ((a.amt + h1.amt) + h2.amt)) / 3))" in sql
 
+    def test_history_window_frames(self):
+        sql = anomaly_sql(analyze_text(self.Q), "spark", history="window")
+        assert "LEFT JOIN" not in sql
+        assert "RANGE BETWEEN 1 PRECEDING AND 1 PRECEDING" in sql
+        assert "RANGE BETWEEN 2 PRECEDING AND 2 PRECEDING" in sql
+
     def test_bad_dialect_raises(self):
-        with pytest.raises(ValueError, match="unknown dialect"):
-            anomaly_sql(analyze_text(self.Q), "oracle")
+        for text in (self.Q, TestMultieventText.Q):
+            with pytest.raises(ValueError, match="unknown dialect"):
+                baseline_sql(text, "oracle")
 
 
 class TestExecutability:
