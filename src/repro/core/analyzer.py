@@ -248,12 +248,13 @@ def analyze(q: Query) -> Analysis:
     ana = Analysis(query=q)
 
     # --- events, variables, roles
+    # SQL folds the case of names: ``e`` and ``E`` are one alias there.
     seen_alias: set[str] = set()
     for ev in q.events:
-        if ev.alias in seen_alias:
+        if ev.alias.lower() in seen_alias:
             raise AIQLSemanticError(f"duplicate event alias {ev.alias!r}")
         _check_sql_name(ev.alias, "event alias")
-        seen_alias.add(ev.alias)
+        seen_alias.add(ev.alias.lower())
         if ev.subject.etype != "proc":
             raise AIQLSemanticError(
                 f"event {ev.alias!r}: subjects are processes in the data "
@@ -269,7 +270,7 @@ def analyze(q: Query) -> Analysis:
         except ValueError as e:
             raise AIQLSemanticError(f"event {ev.alias!r}: {e}") from None
         for ent, role in ((ev.subject, "subject"), (ev.object, "object")):
-            if ent.var in seen_alias or ent.var in ana.event_etype:
+            if ent.var in ana.event_etype:
                 raise AIQLSemanticError(
                     f"variable {ent.var!r} collides with an event alias"
                 )
@@ -325,7 +326,7 @@ def analyze(q: Query) -> Analysis:
 
 def _add_output_name(ana: Analysis, name: str) -> None:
     _check_sql_name(name, "output column")
-    if name in ana.return_names:
+    if name.lower() in {n.lower() for n in ana.return_names}:
         raise AIQLSemanticError(f"duplicate output column {name!r}")
     ana.return_names.append(name)
 

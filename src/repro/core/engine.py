@@ -10,13 +10,13 @@ Per paper §2.3 the engine "synthesizes a SQL data query for every event
 pattern and schedules the execution of these data queries", most pruning
 first. Pruning power is scored without running any pattern: first the
 number of predicates the pattern lowers to, then a bound on its rows, the
-sum of the event count table (``storage.count_events``) over the query's
-agent and days for the pattern's ``etype`` and ``op``. A side whose bound
-is small is broadcast into its join. The whole query is then one SQL
-statement, the synthesized big SQL with its FROM/JOIN list in that order
-and a ``BROADCAST`` hint (``compiler.join_multievent``): nothing is probed
-and nothing is cached, so a query holds no memory beyond what computing
-its result takes.
+sum of the store's event count table (``EventStore.event_counts``) over
+the query's agent and days for the pattern's ``etype`` and ``op``. A side
+whose bound is small is broadcast into its join. The whole query is then
+one SQL statement, the synthesized big SQL with its FROM/JOIN list in that
+order and a ``BROADCAST`` hint (``compiler.join_multievent``): nothing is
+probed and nothing is cached, so a query holds no memory beyond what
+computing its result takes.
 
 The same sum over every ``etype`` and ``op`` is the query's scope. Most
 investigation queries name one host and one day, a few thousand events:
@@ -26,11 +26,9 @@ window run in the scan's task instead of shuffling into
 ``spark.sql.shuffle.partitions`` tasks, and a single-pattern or anomaly
 query is one Spark job. Larger scopes keep the partitioned plan.
 
-The engine reads either an in-memory DataFrame (``events=``, tests) or the
-partitioned store (``store=``, the jobs) — with a store, the query's
-global time window and agent id prune Parquet partitions before any pattern
-scan runs (paper §2.3 insight 2). Either way the count table is computed
-once per source: by the store (until its next ``write``) or by the engine.
+The engine reads the partitioned store: the query's global time window and
+agent id prune Parquet partitions before any pattern scan runs (paper §2.3
+insight 2), and the store keeps the count table until its next ``write``.
 """
 from __future__ import annotations
 
@@ -44,7 +42,7 @@ from repro.core.compiler import join_multievent, project_return
 from repro.core.dependency import analyze_text
 from repro.core.scheduler import build_adjacency, order_patterns
 from repro.monitor.schema import day_labels
-from repro.monitor.storage import EventCounts
+from repro.monitor.storage import EventStore
 
 #: A non-driving pattern whose row bound is at or below this threshold is
 #: broadcast into its join. The bound is never below the pattern's true
@@ -65,21 +63,11 @@ class MultieventPlan:
 
 
 class AIQLEngine:
-    """Executes AIQL text against one event dataset."""
+    """Executes AIQL text against one event store."""
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        events: DataFrame | None = None,
-        store=None,
-    ):
-        if events is None and store is None:
-            raise ValueError("need an events DataFrame or an EventStore")
+    def __init__(self, spark: SparkSession, store: EventStore):
         self.spark = spark
-        self.events = events
         self.store = store
-        self.event_counts = (store.event_counts if store is not None
-                             else EventCounts(lambda: events))
 
     # ------------------------------------------------------------------
     def analyze(self, text: str) -> Analysis:
@@ -91,7 +79,7 @@ class AIQLEngine:
         q = ana.query
         days = None if q.time_range is None else set(day_labels(*q.time_range))
         per_kind: dict[tuple, int] = {}
-        for (agentid, day, etype, op), n in self.event_counts().items():
+        for (agentid, day, etype, op), n in self.store.event_counts().items():
             if ((q.agentid is None or agentid == q.agentid)
                     and (days is None or day in days)):
                 per_kind[etype, op] = per_kind.get((etype, op), 0) + n
@@ -104,8 +92,7 @@ class AIQLEngine:
         the pattern filters still reach the scan, and ``distinct``, the
         anomaly aggregate and its history window need no shuffle."""
         q = ana.query
-        src = (self.store.events_partitioned(q.time_range, q.agentid)
-               if self.store is not None else self.events)
+        src = self.store.events_partitioned(q.time_range, q.agentid)
         return src.coalesce(1) if scope_rows <= BROADCAST_ROWS else src
 
     def _plan_multievent(self, ana: Analysis) -> MultieventPlan:

@@ -20,6 +20,7 @@ documents this substitution.)
 Beside the layouts, a store answers how many events each (``agentid``,
 ``day``, ``etype``, ``op``) slice holds (``event_counts``): the statistics
 the engine's scheduler bounds a pattern's rows with, without running it.
+The table is opened once per ``write``, like the layouts.
 """
 from __future__ import annotations
 
@@ -42,26 +43,6 @@ def count_events(events: DataFrame) -> dict[tuple, int]:
             for r in events.groupBy(*COUNT_KEYS).count().collect()}
 
 
-class EventCounts:
-    """``count_events`` of a source, computed on the first call and kept
-    until ``clear``. Thread-safe: concurrent first calls share one job."""
-
-    def __init__(self, source: Callable[[], DataFrame]):
-        self._source = source
-        self._table: dict[tuple, int] | None = None
-        self._lock = threading.Lock()
-
-    def __call__(self) -> dict[tuple, int]:
-        with self._lock:
-            if self._table is None:
-                self._table = count_events(self._source())
-            return self._table
-
-    def clear(self) -> None:
-        with self._lock:
-            self._table = None
-
-
 class EventStore:
     """Writer/reader for the two on-disk layouts of one event dataset.
 
@@ -74,11 +55,10 @@ class EventStore:
     def __init__(self, spark: SparkSession, base: str | Path):
         self.spark = spark
         self.base = Path(base)
-        # Built from the partitioned layout on first use, not in ``write``:
-        # ingest time stays the time to write the two layouts.
-        self.event_counts = EventCounts(self.events_partitioned)
-        self._opened: dict[str, DataFrame] = {}
-        self._lock = threading.Lock()
+        self._opened: dict = {}
+        # Reentrant: the count table is opened under the lock and opens
+        # the partitioned layout it counts under the same lock.
+        self._lock = threading.RLock()
 
     @property
     def partitioned_path(self) -> str:
@@ -90,8 +70,8 @@ class EventStore:
 
     def write(self, df: DataFrame) -> None:
         """Persist both layouts (overwrite) and forget the opened layouts
-        and the event counts of the rows they held, even if the write
-        fails part way."""
+        and the count table of the rows they held, even if the write fails
+        part way."""
         try:
             (
                 # One file per (agentid, day) partition: compact listing and
@@ -109,20 +89,32 @@ class EventStore:
         finally:
             with self._lock:
                 self._opened.clear()
-            self.event_counts.clear()
 
-    def _open(self, layout: str, read: Callable[[], DataFrame]) -> DataFrame:
+    def _open(self, name: str, read: Callable):
+        """``read()``, called on the first request after a ``write`` and
+        kept until the next; concurrent first requests share one call."""
         with self._lock:
-            if layout not in self._opened:
-                self._opened[layout] = read()
-            return self._opened[layout]
+            if name not in self._opened:
+                self._opened[name] = read()
+            return self._opened[name]
+
+    def event_counts(self) -> dict[tuple, int]:
+        """``count_events`` of the partitioned layout. Built on first use,
+        not in ``write``: ingest time stays the time to write the two
+        layouts."""
+        return self._open("counts", lambda: count_events(self.events_partitioned()))
 
     def events_flat(self) -> DataFrame:
         """The generic row-oriented layout (the baseline's side): flat CSV,
-        read with the event schema (empty fields are NULLs)."""
+        read with the event schema. ``multiLine`` keeps a quoted field
+        that holds a line break in its row. An empty string reads back as
+        NULL, as Spark's CSV reader takes it for its null value; a null
+        marker such as ``\\N`` would keep it, but read the string ``\\N``
+        back as NULL instead."""
         return self._open("flat", lambda: (
             self.spark.read.schema(event_spark_schema())
             .option("header", True)
+            .option("multiLine", True)
             .csv(self.flat_path)))
 
     def events_partitioned(

@@ -5,7 +5,8 @@ Data tiers:
   known semantics, for exact-result engine tests;
 * ``events_pdf``/``events`` — the synthetic enterprise trace at SF 0.001
   (~20k events + injected attack), for integration/workload tests;
-* ``store`` — both on-disk layouts of the SF 0.001 trace.
+* ``store`` — both on-disk layouts of the SF 0.001 trace; ``store_of``
+  writes any event frame to a new store, the engine's only source.
 
 Result comparison (``run_duckdb``, ``assert_same_rows``) lives in
 ``repro.oracle``.
@@ -19,6 +20,8 @@ from unittest import mock
 import pandas as pd
 import pytest
 
+from repro.core import engine as engine_mod
+from repro.core.engine import AIQLEngine
 from repro.monitor.generator import as_event_frame, gen_events_pdf
 from repro.monitor.schema import event_spark_schema
 from repro.monitor.storage import EventStore
@@ -59,9 +62,8 @@ def partitioned(engine):
     that has any, so ``engine`` reads every non-empty scope partitioned
     (the plan of a scope too large for one partition): no ``coalesce``,
     and shuffle joins beside broadcast ones."""
-    from repro.core import engine as engine_mod
     per_slice = Counter()
-    for (agentid, day, _, _), n in engine.event_counts().items():
+    for (agentid, day, _, _), n in engine.store.event_counts().items():
         per_slice[agentid, day] += n
     with mock.patch.object(engine_mod, "BROADCAST_ROWS", min(per_slice.values()) - 1):
         yield
@@ -106,20 +108,26 @@ def events(spark, events_pdf):
 
 
 @pytest.fixture(scope="session")
-def store(spark, events, tmp_path_factory) -> EventStore:
-    s = EventStore(spark, tmp_path_factory.mktemp("event_store"))
-    s.write(events)
-    return s
+def store_of(spark, tmp_path_factory):
+    """``store_of(pdf)``: a new store holding the event frame ``pdf``."""
+    def write(pdf: pd.DataFrame) -> EventStore:
+        s = EventStore(spark, tmp_path_factory.mktemp("event_store"))
+        s.write(spark.createDataFrame(pdf, schema=event_spark_schema()))
+        return s
+    return write
 
 
 @pytest.fixture(scope="session")
-def engine(spark, events):
-    from repro.core.engine import AIQLEngine
-    return AIQLEngine(spark, events=events)
+def store(store_of, events_pdf) -> EventStore:
+    return store_of(events_pdf)
 
 
 @pytest.fixture(scope="session")
-def tiny_engine(spark, tiny):
-    from repro.core.engine import AIQLEngine
-    return AIQLEngine(spark, events=tiny)
+def engine(spark, store):
+    return AIQLEngine(spark, store)
+
+
+@pytest.fixture(scope="session")
+def tiny_engine(spark, store_of, tiny_pdf):
+    return AIQLEngine(spark, store_of(tiny_pdf))
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
-from repro.monitor.schema import event_spark_schema
 from repro.oracle import assert_same_rows, run_duckdb
 from tests.conftest import DAY0, executed_plan, make_events, net_ev, partitioned
 
@@ -40,9 +39,8 @@ def win_pdf():
 
 
 @pytest.fixture(scope="module")
-def win_engine(spark, win_pdf):
-    df = spark.createDataFrame(win_pdf, schema=event_spark_schema())
-    return AIQLEngine(spark, events=df)
+def win_engine(spark, store_of, win_pdf):
+    return AIQLEngine(spark, store_of(win_pdf))
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +60,8 @@ def mixed_pdf():
 
 
 @pytest.fixture(scope="module")
-def mixed_engine(spark, mixed_pdf):
-    df = spark.createDataFrame(mixed_pdf, schema=event_spark_schema())
-    return AIQLEngine(spark, events=df)
+def mixed_engine(spark, store_of, mixed_pdf):
+    return AIQLEngine(spark, store_of(mixed_pdf))
 
 
 def q(body):
@@ -97,12 +94,10 @@ class TestWindows:
             'return p, count(e.amount) as c\ngroup by p').toPandas()
         assert out["c"].tolist() == [1]  # tumbling: exactly one window
 
-    def test_gap_when_step_exceeds_window(self, spark):
+    def test_gap_when_step_exceeds_window(self, spark, store_of):
         # window 2s, step 10s: event at t=5s falls between windows.
-        pdf = make_events([
-            net_ev(1, DAY0 + 5 * SEC, "write", "X", "procX", "1.1.1.1", 80, 9)])
-        eng = AIQLEngine(spark, events=spark.createDataFrame(
-            pdf, schema=event_spark_schema()))
+        eng = AIQLEngine(spark, store_of(make_events([
+            net_ev(1, DAY0 + 5 * SEC, "write", "X", "procX", "1.1.1.1", 80, 9)])))
         out = eng.execute(
             AT + "window = 2 sec, step = 10 sec\n"
             'proc p write ip i as e\nreturn p, count(e.amount) as c\n'
@@ -210,7 +205,7 @@ class TestOracleAgreement:
         assert len(want) > 0
         assert_same_rows(win_engine.execute(text).toPandas(), want)
         assert_same_rows(
-            run_baseline(spark, text, win_engine.events).toPandas(), want)
+            run_baseline(spark, text, win_engine.store.events_flat()).toPandas(), want)
 
     def test_aggregate_alias_named_like_an_event_column(self, spark, win_engine,
                                                         win_pdf):
@@ -222,7 +217,7 @@ class TestOracleAgreement:
         assert len(want) > 0
         assert_same_rows(win_engine.execute(text).toPandas(), want)
         assert_same_rows(
-            run_baseline(spark, text, win_engine.events).toPandas(), want)
+            run_baseline(spark, text, win_engine.store.events_flat()).toPandas(), want)
 
     def test_aggregate_alias_named_like_a_history_lookup(self, spark, win_engine,
                                                           win_pdf):
@@ -234,7 +229,7 @@ class TestOracleAgreement:
         assert len(want) > 0
         assert_same_rows(win_engine.execute(text).toPandas(), want)
         assert_same_rows(
-            run_baseline(spark, text, win_engine.events).toPandas(), want)
+            run_baseline(spark, text, win_engine.store.events_flat()).toPandas(), want)
 
     def test_workload_anomaly_on_trace(self, engine, events_pdf):
         from repro.workload.queries import query_by_name

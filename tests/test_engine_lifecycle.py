@@ -2,8 +2,9 @@
 Spark holds no more persistent RDDs than before, for multievent,
 single-pattern and anomaly queries alike, and with threads sharing one
 engine. Planning runs no Spark job once the event count table exists, and
-that table is computed once per source. A query over a small scope runs in
-one partition: no shuffle, and one job for a single pattern."""
+the store computes that table once per ``write``. A query over a small
+scope runs in one partition: no shuffle, and one job for a single
+pattern."""
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -58,69 +59,62 @@ def assert_history_window(plan: str) -> None:
 
 
 class TestPinning:
-    def test_multievent_pins_nothing(self, spark, tiny, cached):
-        eng = AIQLEngine(spark, events=tiny)
-        r = eng.execute(TWO_PATTERN)
+    def test_multievent_pins_nothing(self, tiny_engine, cached):
+        r = tiny_engine.execute(TWO_PATTERN)
         assert rows(r) == {("bash", "python", "/tmp/x"),
                            ("python", "python", "/tmp/x")}
         assert cached() == 0
 
-    def test_anomaly_pins_nothing(self, spark, tiny, cached):
-        eng = AIQLEngine(spark, events=tiny)
-        eng.execute(ANOMALY).collect()
+    def test_anomaly_pins_nothing(self, tiny_engine, cached):
+        tiny_engine.execute(ANOMALY).collect()
         assert cached() == 0
 
-    def test_anomaly_without_history_pins_nothing(self, spark, tiny, cached):
-        eng = AIQLEngine(spark, events=tiny)
-        r = eng.execute(AT + 'window = 1 min, step = 10 sec\n'
-                             'proc p write ip i as e\n'
-                             'return p, avg(e.amount) as amt\ngroup by p')
+    def test_anomaly_without_history_pins_nothing(self, tiny_engine, cached):
+        r = tiny_engine.execute(AT + 'window = 1 min, step = 10 sec\n'
+                                     'proc p write ip i as e\n'
+                                     'return p, avg(e.amount) as amt\ngroup by p')
         r.collect()
         assert cached() == 0
 
-    def test_live_results_pin_nothing(self, spark, tiny, cached):
-        eng = AIQLEngine(spark, events=tiny)
-        live = [eng.execute(q) for q in (TWO_PATTERN, OTHER_TWO_PATTERN,
-                                         SINGLE_PATTERN, ANOMALY)]
+    def test_live_results_pin_nothing(self, tiny_engine, cached):
+        live = [tiny_engine.execute(q) for q in (TWO_PATTERN, OTHER_TWO_PATTERN,
+                                                 SINGLE_PATTERN, ANOMALY)]
         for df in live:
             df.collect()
         assert cached() == 0
 
-    def test_threads_share_one_engine(self, spark, tiny, cached):
-        eng = AIQLEngine(spark, events=tiny)
+    def test_threads_share_one_engine(self, spark, tiny_engine, cached):
+        eng = AIQLEngine(spark, tiny_engine.store)
         queries = [TWO_PATTERN, OTHER_TWO_PATTERN, SINGLE_PATTERN, ANOMALY]
-        want = [rows(AIQLEngine(spark, events=tiny).execute(q)) for q in queries]
+        want = [rows(tiny_engine.execute(q)) for q in queries]
         with ThreadPoolExecutor(max_workers=2) as pool:
             got = list(pool.map(lambda q: rows(eng.execute(q)), queries,
                                 timeout=300))
         assert got == want
         assert cached() == 0
 
-    def test_plan_pins_nothing(self, spark, tiny, cached):
-        AIQLEngine(spark, events=tiny).plan(TWO_PATTERN)
+    def test_plan_pins_nothing(self, tiny_engine, cached):
+        tiny_engine.plan(TWO_PATTERN)
         assert cached() == 0
 
-    def test_single_pattern_pins_nothing(self, spark, tiny, cached):
-        eng = AIQLEngine(spark, events=tiny)
-        r = eng.execute(SINGLE_PATTERN)
+    def test_single_pattern_pins_nothing(self, tiny_engine, cached):
+        r = tiny_engine.execute(SINGLE_PATTERN)
         r.collect()
         assert cached() == 0
 
-    def test_results_correct_across_sequential_queries(self, spark, tiny):
-        eng = AIQLEngine(spark, events=tiny)
-        a = rows(eng.execute(TWO_PATTERN))
-        eng.execute(ANOMALY).collect()
-        b = rows(eng.execute(TWO_PATTERN))
+    def test_results_correct_across_sequential_queries(self, tiny_engine):
+        a = rows(tiny_engine.execute(TWO_PATTERN))
+        tiny_engine.execute(ANOMALY).collect()
+        b = rows(tiny_engine.execute(TWO_PATTERN))
         assert a == b
 
 
 class TestNoProbe:
-    def test_plan_runs_no_job_once_counted(self, spark, tiny):
-        eng = AIQLEngine(spark, events=tiny)
-        eng.plan(TWO_PATTERN)  # computes the count table
+    def test_plan_runs_no_job_once_counted(self, spark, tiny_engine):
+        tiny_engine.plan(TWO_PATTERN)  # computes the count table
         before = jobs_started(spark)
-        eng.plan(OTHER_TWO_PATTERN)
-        eng.execute(TWO_PATTERN)  # lazy: builds the plan, runs nothing
+        tiny_engine.plan(OTHER_TWO_PATTERN)
+        tiny_engine.execute(TWO_PATTERN)  # lazy: builds the plan, runs nothing
         assert jobs_started(spark) == before
 
     def test_counts_once_per_store_until_write(self, spark, tiny, tmp_path):
@@ -140,33 +134,28 @@ class TestOnePartition:
     """Most workload queries name one host and one day: a scope of at most
     ``BROADCAST_ROWS`` events, read as one partition."""
 
-    @pytest.fixture(scope="class")
-    def store_engine(self, spark, store):
-        eng = AIQLEngine(spark, store=store)
-        eng.event_counts()
-        return eng
-
     @pytest.mark.parametrize("name", ["q02_powershell_reads", "q01_anomaly_exfil"])
-    def test_no_shuffle(self, store_engine, name):
+    def test_no_shuffle(self, engine, name):
         """``return distinct`` and the anomaly aggregate and history window
         run in the scan's one partition."""
-        plan = executed_plan(store_engine.execute(query_by_name(name).aiql))
+        plan = executed_plan(engine.execute(query_by_name(name).aiql))
         assert "Coalesce 1" in plan
         assert "Exchange hashpartitioning" not in plan
         if name == "q01_anomaly_exfil":
             assert_history_window(plan)
 
-    def test_larger_scope_shuffles(self, store_engine, monkeypatch):
+    def test_larger_scope_shuffles(self, engine, monkeypatch):
         monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", 0)
         for name in ("q02_powershell_reads", "q01_anomaly_exfil"):
-            plan = executed_plan(store_engine.execute(query_by_name(name).aiql))
+            plan = executed_plan(engine.execute(query_by_name(name).aiql))
             assert "Coalesce" not in plan
             assert "Exchange hashpartitioning" in plan
         assert_history_window(plan)
 
-    def test_single_pattern_distinct_is_one_job(self, spark, store_engine):
+    def test_single_pattern_distinct_is_one_job(self, spark, engine):
+        engine.store.event_counts()
         before = jobs_started(spark)
-        assert store_engine.execute(
+        assert engine.execute(
             query_by_name("q02_powershell_reads").aiql).collect()
         assert jobs_started(spark) == before + 1
 
@@ -177,7 +166,7 @@ class TestOnePartition:
         text = query_by_name(name).aiql
         plan = eng.plan(text)
         q = plan.analysis.query
-        want = sum(n for (agentid, day, _, _), n in eng.event_counts().items()
+        want = sum(n for (agentid, day, _, _), n in eng.store.event_counts().items()
                    if agentid == q.agentid and day == "2018-04-10")
         assert (plan.scope_rows, plan.one_partition) == (want, True)
         monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", plan.scope_rows - 1)

@@ -8,7 +8,6 @@ from repro.core import engine as engine_mod
 from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.compiler import pattern_filter
 from repro.core.engine import AIQLEngine
-from repro.monitor.schema import event_spark_schema
 from repro.oracle import assert_same_rows, run_duckdb
 from tests.conftest import (DAY0, executed_plan, file_ev, make_events,
                             partitioned, proc_ev)
@@ -187,6 +186,11 @@ def win_paths_pdf():
     ])
 
 
+@pytest.fixture(scope="module")
+def win_paths_engine(spark, store_of, win_paths_pdf):
+    return AIQLEngine(spark, store_of(win_paths_pdf))
+
+
 class TestBackslashStrings:
     """AIQL strings are literal except for ``%``: a backslash matches itself
     in the engine, the Spark baseline and DuckDB alike."""
@@ -195,14 +199,15 @@ class TestBackslashStrings:
         r'proc p["%\\temp%"] read file f as e1' '\nreturn p, f',
         r'proc p["c:\\temp\\t.exe"] read file f as e1' '\nreturn p, f',
     ])
-    def test_engine_baseline_duckdb_agree(self, spark, win_paths_pdf, q):
+    def test_engine_baseline_duckdb_agree(self, spark, win_paths_engine,
+                                          win_paths_pdf, q):
         text = AT + q
-        events = spark.createDataFrame(win_paths_pdf, schema=event_spark_schema())
-        got = AIQLEngine(spark, events=events).execute(text).toPandas()
+        got = win_paths_engine.execute(text).toPandas()
         want = run_duckdb(oracle_sql(text), events=win_paths_pdf)
         assert len(want) > 0
         assert_same_rows(got, want)
-        assert_same_rows(run_baseline(spark, text, events).toPandas(), want)
+        flat = win_paths_engine.store.events_flat()
+        assert_same_rows(run_baseline(spark, text, flat).toPandas(), want)
 
 
 class TestQuoteStrings:
@@ -217,13 +222,14 @@ class TestQuoteStrings:
         "proc p read file f[\"%\\\\'q%\"] as e1\nreturn f",
         "proc p read file f[\"c:\\\\o'brien\\\\'q.txt\"] as e1\nreturn f",
     ])
-    def test_engine_baseline_duckdb_agree(self, spark, win_paths_pdf, q):
+    def test_engine_baseline_duckdb_agree(self, spark, win_paths_engine,
+                                          win_paths_pdf, q):
         text = AT + q
-        events = spark.createDataFrame(win_paths_pdf, schema=event_spark_schema())
         duck = run_duckdb(oracle_sql(text), events=win_paths_pdf)
         assert set(duck.itertuples(index=False, name=None)) == {(self.QUOTED,)}
-        assert_same_rows(AIQLEngine(spark, events=events).execute(text).toPandas(), duck)
-        assert_same_rows(run_baseline(spark, text, events).toPandas(), duck)
+        assert_same_rows(win_paths_engine.execute(text).toPandas(), duck)
+        flat = win_paths_engine.store.events_flat()
+        assert_same_rows(run_baseline(spark, text, flat).toPandas(), duck)
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +244,11 @@ def underscore_pdf():
         file_ev(1, t + 3_000, "write", "c1", "wget", "c:\\info_stealer"),
         file_ev(1, t + 4_000, "write", "d1", "vim", "/tmp/%{x}%a}{b"),
     ])
+
+
+@pytest.fixture(scope="module")
+def underscore_engine(spark, store_of, underscore_pdf):
+    return AIQLEngine(spark, store_of(underscore_pdf))
 
 
 class TestUnderscoreStrings:
@@ -255,13 +266,14 @@ class TestUnderscoreStrings:
         ('proc p write file f["%{x}%a}{b"] as e1\nreturn p, f',
          {("vim", "/tmp/%{x}%a}{b")}),
     ], ids=["like", "like-after-backslash", "not-like", "braces"])
-    def test_engine_baseline_duckdb_agree(self, spark, underscore_pdf, q, want):
+    def test_engine_baseline_duckdb_agree(self, spark, underscore_engine,
+                                          underscore_pdf, q, want):
         text = AT + q
-        events = spark.createDataFrame(underscore_pdf, schema=event_spark_schema())
         duck = run_duckdb(oracle_sql(text), events=underscore_pdf)
         assert set(duck.itertuples(index=False, name=None)) == want
-        assert_same_rows(AIQLEngine(spark, events=events).execute(text).toPandas(), duck)
-        assert_same_rows(run_baseline(spark, text, events).toPandas(), duck)
+        assert_same_rows(underscore_engine.execute(text).toPandas(), duck)
+        flat = underscore_engine.store.events_flat()
+        assert_same_rows(run_baseline(spark, text, flat).toPandas(), duck)
 
 
 class TestPlanAndScheduling:
@@ -304,12 +316,11 @@ class TestPlanAndScheduling:
         assert p.order[0] not in p.broadcast
         assert set(p.order[1:]) == p.broadcast
 
-    def test_broadcast_threshold_zero_disables(self, spark, tiny, monkeypatch):
+    def test_broadcast_threshold_zero_disables(self, tiny_engine, monkeypatch):
         monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", 0)
-        eng = AIQLEngine(spark, events=tiny)
-        p = eng.plan(self.Q)
+        p = tiny_engine.plan(self.Q)
         assert p.broadcast == set()
-        got = {tuple(r) for r in eng.execute(self.Q).collect()}
+        got = {tuple(r) for r in tiny_engine.execute(self.Q).collect()}
         assert got == {("bash", "python", "/tmp/x"), ("python", "python", "/tmp/x")}
 
     def test_plan_on_anomaly_raises(self, tiny_engine):
@@ -320,10 +331,6 @@ class TestPlanAndScheduling:
 
 
 class TestEngineConstruction:
-    def test_needs_source(self, spark):
-        with pytest.raises(ValueError, match="events DataFrame or an EventStore"):
-            AIQLEngine(spark)
-
     def test_dependency_query_executes(self, tiny_engine):
         got = rows(tiny_engine,
                    AT + 'forward\n'
@@ -455,7 +462,8 @@ class TestGeneratedAgainstOracle:
         # Keeps collecting cheap; the row count is not what is tested.
         assume(len(want) <= 2000)
         assert_same_rows(eng.execute(text).toPandas(), want)
-        assert_same_rows(run_baseline(spark, text, eng.events).toPandas(), want)
+        flat = eng.store.events_flat()
+        assert_same_rows(run_baseline(spark, text, flat).toPandas(), want)
 
     @pytest.mark.parametrize("data", ["tiny", "sf0.001"])
     @settings(max_examples=25, deadline=None, derandomize=True)

@@ -11,7 +11,6 @@ from repro.core.analyzer import AIQLSemanticError
 from repro.core.baseline import baseline_sql, oracle_sql
 from repro.core.compiler import join_multievent
 from repro.core.dependency import analyze_text
-from repro.core.engine import AIQLEngine
 from repro.core.lexer import AIQLSyntaxError
 from repro.monitor.schema import EVENT_COLUMNS
 from repro.workload.conciseness import strip_comments
@@ -35,9 +34,20 @@ from repro.workload.queries import QUERIES
     *[('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
        f"proc p write ip i as e\nreturn p, avg(e.amount) as {name}\n"
        "group by p", AIQLSemanticError) for name in ("s_name", "s_uid", "wid")],
+    # names that differ only in case, which SQL folds into one: two
+    # aggregate aliases, two output columns, two event aliases
+    ('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+     "proc p write ip i as e\nreturn p, avg(e.amount) as amt, "
+     "sum(e.amount) as AMT\ngroup by p", AIQLSemanticError),
+    ("proc p read file f as e1\nproc q write file f as e2\n"
+     "return p as x, q as X", AIQLSemanticError),
+    ("proc p read file f as e\nproc q write file f as E\nreturn p, q",
+     AIQLSemanticError),
 ], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal",
         "subject-is-object", "aggregate-without-attribute",
-        "aggregate-alias-s_name", "aggregate-alias-s_uid", "aggregate-alias-wid"])
+        "aggregate-alias-s_name", "aggregate-alias-s_uid", "aggregate-alias-wid",
+        "aggregate-aliases-by-case", "output-names-by-case",
+        "event-aliases-by-case"])
 def test_error_class(text, cls):
     with pytest.raises(ValueError) as info:
         analyze_text(text)
@@ -86,14 +96,13 @@ def test_mutated_workload_raises_only_aiql_errors():
 
 
 # ------------------------------------------------------ SQL words as names
-def test_sql_keyword_names_rejected_or_run(spark, tiny, tiny_pdf):
+def test_sql_keyword_names_rejected_or_run(spark, tiny_engine, tiny, tiny_pdf):
     """Every keyword of DuckDB's or Spark's SQL parser, and every event
     column name, used as an event alias and as an output column name, is
     either rejected by the front end or gets through Spark's analysis of
     the engine's text (with the alias as the driving FROM item and as a
     ``BROADCAST`` hint parameter) and of the baseline text, and DuckDB's
     binding of the oracle text. Nothing is executed."""
-    engine = AIQLEngine(spark, events=tiny)
     tiny.createOrReplaceTempView("events")
     words = {r.keyword.lower()
              for r in spark.sql("SELECT keyword FROM sql_keywords()").collect()}
@@ -111,7 +120,7 @@ def test_sql_keyword_names_rejected_or_run(spark, tiny, tiny_pdf):
             except (AIQLSyntaxError, AIQLSemanticError):
                 continue
             for backend, build in (
-                    ("engine", lambda: engine.execute(text)),
+                    ("engine", lambda: tiny_engine.execute(text)),
                     ("driving", lambda: join_multievent(tiny, ana, [w, "e2"], {"e2"})),
                     ("hint", lambda: join_multievent(tiny, ana, ["e2", w], {w})),
                     ("spark", lambda: spark.sql(baseline_sql(text, "spark"))),

@@ -1,5 +1,5 @@
-"""EventStore tests: layout roundtrips, partition pruning, layouts opened
-once per write, and the event count table."""
+"""EventStore tests: layout roundtrips, partition pruning, layouts and the
+event count table opened once per write."""
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,9 +9,10 @@ from pyspark.sql import DataFrameReader, DataFrameWriter
 from repro.core.compiler import pattern_filter
 from repro.core.dependency import analyze_text
 from repro.core.engine import AIQLEngine
-from repro.monitor.storage import EventCounts, EventStore
+from repro.monitor import storage
+from repro.monitor.storage import EventStore
 from repro.workload.queries import QUERIES, query_by_name
-from tests.conftest import DAY0
+from tests.conftest import DAY0, file_ev, make_events
 
 MULTI_PATTERN = [q.name for q in QUERIES
                  if len(analyze_text(q.aiql).query.events) > 1]
@@ -27,6 +28,7 @@ class TestRoundtrip:
 
     def test_partitioned_preserves_rows(self, store, events):
         assert store.events_partitioned().count() == events.count()
+        assert sum(store.event_counts().values()) == events.count()
 
     def test_same_rows_both_layouts(self, store):
         flat = {r["eid"] for r in store.events_flat().select("eid").collect()}
@@ -35,6 +37,20 @@ class TestRoundtrip:
 
     def test_partitioned_has_all_columns(self, store, events):
         assert set(store.events_partitioned().columns) == set(events.columns)
+
+    def test_special_characters_survive_both_layouts(self, store_of):
+        """A name may hold line breaks, the CSV separator, quotes and
+        backslashes: the flat layout keeps each in its one row."""
+        names = ["line\nbreak", "crlf\r\nbreak", "a,b", 'say "hi"',
+                 "o'brien", "c:\\temp\\", 'a\\"b', "plain"]
+        s = store_of(make_events([file_ev(1, DAY0 + i, "read", "a1", "bash", n)
+                                  for i, n in enumerate(names)]))
+        assert s.events_flat().count() == len(names)
+        cols = ["ts", "o_name"]
+        flat = sorted(tuple(r) for r in s.events_flat().select(cols).collect())
+        part = sorted(tuple(r) for r in s.events_partitioned().select(cols).collect())
+        assert flat == part
+        assert [n for _, n in part] == names
 
     def test_values_survive_roundtrip(self, store, events_pdf):
         got = (store.events_partitioned()
@@ -126,6 +142,7 @@ class TestOpenedOnce:
         s = EventStore(spark, tmp_path)
         s.write(tiny)
         assert s.events_partitioned().count() == tiny.count()
+        assert sum(s.event_counts().values()) == tiny.count()
 
         def fail(*a, **kw):
             raise OSError("disk full")
@@ -133,27 +150,14 @@ class TestOpenedOnce:
         monkeypatch.setattr(DataFrameWriter, "csv", fail)
         with pytest.raises(OSError):
             s.write(tiny.filter("agentid = 1"))
-        assert s.events_partitioned().count() == tiny.filter("agentid = 1").count()
+        n = tiny.filter("agentid = 1").count()
+        assert s.events_partitioned().count() == n
+        assert sum(s.event_counts().values()) == n
         assert reads["parquet"] == 2
-
-
-class TestEngineOverStore:
-    def test_store_engine_equals_memory_engine(self, spark, store, engine):
-        text = query_by_name("q05_exfil_chain").aiql
-        se = AIQLEngine(spark, store=store)
-        a = {tuple(r) for r in se.execute(text).collect()}
-        b = {tuple(r) for r in engine.execute(text).collect()}
-        assert a == b == {("cmd.exe", "osql.exe", "/db/backup1.dmp",
-                           "sbblv.exe", "202.87.66.129")}
 
 
 class TestEventCounts:
     """The count table behind the scheduler's row bounds."""
-
-    def test_store_and_memory_tables_agree(self, spark, store, events):
-        table = store.event_counts()
-        assert table == AIQLEngine(spark, events=events).event_counts()
-        assert sum(table.values()) == events.count()
 
     @pytest.mark.parametrize("name", MULTI_PATTERN)
     def test_bounds_cover_pattern_rows(self, spark, store, name):
@@ -173,20 +177,22 @@ class TestEventCounts:
         s.write(tiny.filter("agentid = 1"))
         assert eng.plan(q).counts == {"e1": 2, "e2": 1}
 
-    def test_concurrent_first_calls_count_once(self, tiny):
-        calls = []
+    def test_concurrent_first_calls_count_once(self, spark, tmp_path, tiny,
+                                               monkeypatch):
+        s = EventStore(spark, tmp_path)
+        s.write(tiny)
+        calls, count_events = [], storage.count_events
 
-        def source():
+        def count(events):
             calls.append(1)
-            return tiny
-
-        counts = EventCounts(source)
+            return count_events(events)
+        monkeypatch.setattr(storage, "count_events", count)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 tables = [f.result(timeout=120)
-                          for f in [pool.submit(counts) for _ in range(16)]]
+                          for f in [pool.submit(s.event_counts) for _ in range(16)]]
         finally:
             sys.setswitchinterval(old)
         assert len(calls) == 1

@@ -8,7 +8,6 @@ import pandas as pd
 import pytest
 
 from repro.core.baseline import oracle_sql
-from repro.core.engine import AIQLEngine
 from repro.oracle import assert_equivalent
 from repro.workload.queries import QUERIES, query_by_name
 from tests.conftest import executed_plan, partitioned
@@ -85,19 +84,20 @@ class TestInvestigation:
             assert len(match(got, exp)) == 0, f"{name}: unexpected {exp}"
 
     @pytest.mark.parametrize("name", ["q08_creds_exfil", "q20_initial_compromise"])
-    def test_executed_schedule(self, spark, store, name):
+    def test_executed_schedule(self, engine, name):
         """The engine's SQL runs in the planned schedule: the leftmost scan
         of the executed plan is the driving pattern's (named here by its
         operation, which no other pattern of the query has), and every
         broadcast side, and only those, is a broadcast hash join."""
-        eng, text = AIQLEngine(spark, store=store), query_by_name(name).aiql
-        with partitioned(eng):
-            plan = eng.plan(text)
+        text = query_by_name(name).aiql
+        with partitioned(engine):
+            plan = engine.plan(text)
             ops = {ev.alias: ev.op for ev in plan.analysis.query.events}
             assert plan.order != list(ops)
             assert list(ops.values()).count(ops[plan.order[0]]) == 1
             # The adaptive plan's initial physical plan, before any stage runs.
-            executed = eng.execute(text)._jdf.queryExecution().executedPlan().inputPlan()
+            executed = (engine.execute(text)._jdf.queryExecution()
+                        .executedPlan().inputPlan())
         leftmost = executed.collectLeaves().apply(0).dataFilters().mkString(" AND ")
         assert re.search(rf"\bop#\d+ = {ops[plan.order[0]]}\)", leftmost), leftmost
         assert executed.toString().count("BroadcastHashJoin") == len(plan.broadcast) > 0
