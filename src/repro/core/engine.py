@@ -9,16 +9,16 @@ that schedule over the query's scope | anomaly: sliding window engine).
 Per paper §2.3 the engine "synthesizes a SQL data query for every event
 pattern and schedules the execution of these data queries", most pruning
 first. Pruning power is scored without running any pattern: first the
-number of predicates the pattern lowers to, then a bound on its rows, the
-sum of the store's event count table (``EventStore.event_counts``) over
-the query's agent and days for the pattern's ``etype`` and ``op``. A side
-whose bound is small is broadcast into its join. The whole query is then
-one SQL statement, the synthesized big SQL with its FROM/JOIN list in that
-order and a ``BROADCAST`` hint (``compiler.join_multievent``): nothing is
-probed and nothing is cached, so a query holds no memory beyond what
-computing its result takes.
+number of predicates the pattern lowers to, then a bound on its rows: the
+events of the pattern's ``etype`` and ``op`` in the query's agent and days
+(``EventStore.scope_counts``, read from the store's statistics without a
+Spark job). A side whose bound is small is broadcast into its join. The
+whole query is then one SQL statement, the synthesized big SQL with its
+FROM/JOIN list in that order and a ``BROADCAST`` hint
+(``compiler.join_multievent``): nothing is probed and nothing is cached,
+so a query holds no memory beyond what computing its result takes.
 
-The same sum over every ``etype`` and ``op`` is the query's scope. Most
+Their sum over every ``etype`` and ``op`` is the query's scope. Most
 investigation queries name one host and one day, a few thousand events:
 a scope no larger than a broadcast side (``BROADCAST_ROWS``) is read as
 one partition, so ``distinct``, the anomaly aggregate and its history
@@ -28,7 +28,7 @@ query is one Spark job. Larger scopes keep the partitioned plan.
 
 The engine reads the partitioned store: the query's global time window and
 agent id prune Parquet partitions before any pattern scan runs (paper §2.3
-insight 2), and the store keeps the count table until its next ``write``.
+insight 2); only the store reads them as partitions.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ from repro.core.analyzer import Analysis
 from repro.core.compiler import join_multievent, project_return
 from repro.core.dependency import analyze_text
 from repro.core.scheduler import build_adjacency, order_patterns
-from repro.monitor.schema import day_labels
 from repro.monitor.storage import EventStore
 
 #: A non-driving pattern whose row bound is at or below this threshold is
@@ -74,17 +73,6 @@ class AIQLEngine:
         """Front half of the pipeline (no execution)."""
         return analyze_text(text)
 
-    def _scope_counts(self, ana: Analysis) -> dict[tuple, int]:
-        """(``etype``, ``op``) -> the events in the query's agent and days."""
-        q = ana.query
-        days = None if q.time_range is None else set(day_labels(*q.time_range))
-        per_kind: dict[tuple, int] = {}
-        for (agentid, day, etype, op), n in self.store.event_counts().items():
-            if ((q.agentid is None or agentid == q.agentid)
-                    and (days is None or day in days)):
-                per_kind[etype, op] = per_kind.get((etype, op), 0) + n
-        return per_kind
-
     def _source(self, ana: Analysis, scope_rows: int) -> DataFrame:
         """The events in the query's scope. A scope of at most
         ``BROADCAST_ROWS`` events, the most the engine hands one task as a
@@ -96,7 +84,7 @@ class AIQLEngine:
         return src.coalesce(1) if scope_rows <= BROADCAST_ROWS else src
 
     def _plan_multievent(self, ana: Analysis) -> MultieventPlan:
-        per_kind = self._scope_counts(ana)
+        per_kind = self.store.scope_counts(ana.query.time_range, ana.query.agentid)
         scope_rows = sum(per_kind.values())
         aliases = [ev.alias for ev in ana.query.events]
         # One pattern: nothing to schedule, one synthesized data query.
@@ -117,8 +105,7 @@ class AIQLEngine:
 
     def plan(self, text: str) -> MultieventPlan:
         """Bound per-pattern rows, pick the join order and decide whether
-        the scope is one partition (no Spark job once the count table
-        exists)."""
+        the scope is one partition (no Spark job)."""
         ana = self.analyze(text)
         if ana.query.mode != "multievent":
             raise ValueError("plan() applies to multievent queries")
@@ -130,8 +117,8 @@ class AIQLEngine:
         output column names the query's return clause defines."""
         ana = self.analyze(text)
         if ana.query.mode == "anomaly":
-            return anomaly_mod.run(
-                self._source(ana, sum(self._scope_counts(ana).values())), ana)
+            scope = self.store.scope_counts(ana.query.time_range, ana.query.agentid)
+            return anomaly_mod.run(self._source(ana, sum(scope.values())), ana)
         plan = self._plan_multievent(ana)
         joined = join_multievent(self._source(ana, plan.scope_rows), ana,
                                  plan.order, plan.broadcast)

@@ -6,10 +6,17 @@ can still be used as a variable name where unambiguous).
 
 Token kinds: IDENT, STRING, NUMBER, OP (punctuation), EOF.
 ``//`` line comments are skipped — the paper's example queries carry them.
+Names and numbers are ASCII, as Spark SQL's unquoted identifiers are:
+``str.isdigit`` takes ``²``, which ``int`` rejects, and ``str.isalpha``
+takes ``é``, which Spark's parser rejects.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _PUNCT = [
     "<=", ">=", "!=", "->",  # two-char first
@@ -63,25 +70,13 @@ def tokenize(text: str) -> list[Token]:
             toks.append(Token("STRING", "".join(buf), i))
             i = j + 1
             continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("NUMBER", float(text[i:j]), i))
-            else:
-                toks.append(Token("NUMBER", int(text[i:j]), i))
-            i = j
+        if m := _NUMBER.match(text, i):
+            toks.append(Token("NUMBER", float(m[0]) if m[1] else int(m[0]), i))
+            i = m.end()
             continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], i))
-            i = j
+        if m := _IDENT.match(text, i):
+            toks.append(Token("IDENT", m[0], i))
+            i = m.end()
             continue
         for p in _PUNCT:
             if text.startswith(p, i):

@@ -5,14 +5,14 @@ event patterns with higher pruning power, maximizing the reduction of
 irrelevant events as early as possible."
 
 Pruning power is scored, not measured: the engine keys each pattern by
-(number of lowered predicates, descending; bound on its rows from the
-event count table, ascending), so no pattern runs before the join. The
-scheduler emits a left-deep join order: start from the pattern with the
-smallest key, then always fold in the smallest-keyed pattern that is
-*connected* to the already-placed set (shares an entity variable or a
-temporal constraint), falling back to the global minimum only when the
-constraint graph is disconnected — this both front-loads pruning and
-avoids accidental cross joins.
+(lowered predicates, descending; row bound from the store's event counts,
+ascending), so no Spark job runs before the query's own. The scheduler
+emits a left-deep join order: start from the pattern with the smallest
+key, then always fold in the smallest-keyed pattern that is *connected*
+to the already-placed set (shares an entity variable or a temporal
+constraint), falling back to the global minimum only when the constraint
+graph is disconnected — this both front-loads pruning and avoids
+accidental cross joins.
 """
 from __future__ import annotations
 

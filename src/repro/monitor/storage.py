@@ -17,10 +17,9 @@ baseline re-reads the whole table. The analog here is a flat headered CSV
 what the semantics-agnostic baseline of Table A scans. (DESIGN.md §4
 documents this substitution.)
 
-Beside the layouts, a store answers how many events each (``agentid``,
-``day``, ``etype``, ``op``) slice holds (``event_counts``): the statistics
-the engine's scheduler bounds a pattern's rows with, without running it.
-The table is opened once per ``write``, like the layouts.
+A store also counts the events of each (``agentid``, ``day``, ``etype``,
+``op``) with Arrow, no Spark job, once per ``write``: the statistics the
+scheduler bounds a pattern's rows with, summed over a query's scope.
 """
 from __future__ import annotations
 
@@ -28,19 +27,30 @@ import threading
 from pathlib import Path
 from typing import Callable
 
+import pyarrow as pa
+import pyarrow.dataset as ds
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.monitor.schema import day_labels, event_spark_schema
+from repro.monitor.schema import day_labels, event_arrow_schema, event_spark_schema
 
 #: The keys of the event count table; ``agentid`` and ``day`` are the
 #: partition keys, ``etype`` and ``op`` the two predicates every pattern has.
 COUNT_KEYS = ("agentid", "day", "etype", "op")
 
 
-def count_events(events: DataFrame) -> dict[tuple, int]:
-    """Rows per ``COUNT_KEYS`` slice of ``events``, in one aggregate job."""
-    return {tuple(r[:-1]): r[-1]
-            for r in events.groupBy(*COUNT_KEYS).count().collect()}
+def count_events(path: str) -> dict[tuple, int]:
+    """Rows per ``COUNT_KEYS`` slice of the partitioned layout at ``path``,
+    read by Arrow one (``agentid``, ``day``) file's ``etype``/``op`` at a time."""
+    schema, kinds = event_arrow_schema(), list(COUNT_KEYS[2:])
+    hive = ds.partitioning(pa.schema([schema.field(k) for k in COUNT_KEYS[:2]]), flavor="hive")
+    counts: dict[tuple, int] = {}
+    for frag in ds.dataset(path, schema=schema, partitioning=hive).get_fragments():
+        part = ds.get_partition_keys(frag.partition_expression)
+        table = frag.to_table(columns=kinds).group_by(kinds).aggregate([([], "count_all")])
+        for r in table.to_pylist():
+            k = (part["agentid"], part["day"], r["etype"], r["op"])
+            counts[k] = counts.get(k, 0) + r["count_all"]
+    return counts
 
 
 class EventStore:
@@ -56,9 +66,7 @@ class EventStore:
         self.spark = spark
         self.base = Path(base)
         self._opened: dict = {}
-        # Reentrant: the count table is opened under the lock and opens
-        # the partitioned layout it counts under the same lock.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     @property
     def partitioned_path(self) -> str:
@@ -99,22 +107,32 @@ class EventStore:
             return self._opened[name]
 
     def event_counts(self) -> dict[tuple, int]:
-        """``count_events`` of the partitioned layout. Built on first use,
-        not in ``write``: ingest time stays the time to write the two
-        layouts."""
-        return self._open("counts", lambda: count_events(self.events_partitioned()))
+        """``count_events`` of the partitioned layout, built on first use:
+        ingest time stays the time to write the two layouts."""
+        return self._open("counts", lambda: count_events(self.partitioned_path))
+
+    def scope_counts(self, time_range, agentid) -> dict[tuple, int]:
+        """(``etype``, ``op``) -> the events that ``events_partitioned``
+        reads for the same ``time_range`` and ``agentid``."""
+        days = None if time_range is None else day_labels(*time_range)
+        out: dict[tuple, int] = {}
+        for (agent, day, etype, op), n in self.event_counts().items():
+            if (agentid is None or agent == agentid) and (days is None or day in days):
+                out[etype, op] = out.get((etype, op), 0) + n
+        return out
 
     def events_flat(self) -> DataFrame:
         """The generic row-oriented layout (the baseline's side): flat CSV,
         read with the event schema. ``multiLine`` keeps a quoted field
-        that holds a line break in its row. An empty string reads back as
-        NULL, as Spark's CSV reader takes it for its null value; a null
-        marker such as ``\\N`` would keep it, but read the string ``\\N``
-        back as NULL instead."""
+        that holds a line break in its row. Spark writes NULL as an unquoted
+        empty field and an empty string as ``""``; reading with NUL as the
+        null value keeps the two apart. NUL cannot occur in a path, an
+        executable name, an IP or a uid, so no stored value reads as it."""
         return self._open("flat", lambda: (
             self.spark.read.schema(event_spark_schema())
             .option("header", True)
             .option("multiLine", True)
+            .option("nullValue", "\u0000")
             .csv(self.flat_path)))
 
     def events_partitioned(

@@ -13,7 +13,6 @@ Result comparison (``run_duckdb``, ``assert_same_rows``) lives in
 """
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -23,16 +22,10 @@ import pytest
 from repro.core import engine as engine_mod
 from repro.core.engine import AIQLEngine
 from repro.monitor.generator import as_event_frame, gen_events_pdf
-from repro.monitor.schema import event_spark_schema
+from repro.monitor.schema import DAY_MS, event_spark_schema
 from repro.monitor.storage import EventStore
 
 DAY0 = 1523318400000  # 2018-04-10 00:00:00 UTC
-
-
-def make_events(rows: list[dict]) -> pd.DataFrame:
-    """Hand-crafted rows → schema-exact event frame. Each row needs at
-    least agentid/ts/etype/op/s_uid/s_name; object columns default NULL."""
-    return as_event_frame(rows)
 
 
 def file_ev(agentid, ts, op, s_uid, s_name, path, amount=100):
@@ -62,17 +55,20 @@ def partitioned(engine):
     that has any, so ``engine`` reads every non-empty scope partitioned
     (the plan of a scope too large for one partition): no ``coalesce``,
     and shuffle joins beside broadcast ones."""
-    per_slice = Counter()
-    for (agentid, day, _, _), n in engine.store.event_counts().items():
-        per_slice[agentid, day] += n
-    with mock.patch.object(engine_mod, "BROADCAST_ROWS", min(per_slice.values()) - 1):
+    store = engine.store
+
+    def scope_rows(agentid, day):
+        t = int(pd.Timestamp(day, tz="UTC").timestamp() * 1000)
+        return sum(store.scope_counts((t, t + DAY_MS), agentid).values())
+    least = min(scope_rows(agentid, day) for agentid, day, _, _ in store.event_counts())
+    with mock.patch.object(engine_mod, "BROADCAST_ROWS", least - 1):
         yield
 
 
 @pytest.fixture(scope="session")
 def tiny_pdf() -> pd.DataFrame:
     t = DAY0
-    return make_events([
+    return as_event_frame([
         proc_ev(1, t + 1_000, "start", "a1", "bash", "b1", "python"),
         file_ev(1, t + 2_000, "read", "b1", "python", "/tmp/x", 100),
         net_ev(1, t + 3_000, "write", "b1", "python", "9.9.9.9", 80, 200),

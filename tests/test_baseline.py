@@ -25,8 +25,8 @@ class TestBaselineText:
 
 class TestBaselineEquivalence:
     @pytest.mark.parametrize("name", NAMES)
-    def test_baseline_matches_engine(self, spark, engine, events, name):
+    def test_baseline_matches_engine(self, spark, engine, name):
         q = next(x for x in QUERIES if x.name == name)
         a = engine.execute(q.aiql).toPandas()
-        b = run_baseline(spark, q.aiql, events).toPandas()
+        b = run_baseline(spark, q.aiql, engine.store.events_flat()).toPandas()
         assert_same_rows(a, b)

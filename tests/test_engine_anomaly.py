@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
+from repro.monitor.generator import as_event_frame
 from repro.oracle import assert_same_rows, run_duckdb
-from tests.conftest import DAY0, executed_plan, make_events, net_ev, partitioned
+from tests.conftest import DAY0, executed_plan, net_ev, partitioned
 
 AT = '(at "04/10/2018")\n'
 SEC = 1_000
@@ -35,7 +36,7 @@ def win_rows():
 
 @pytest.fixture(scope="module")
 def win_pdf():
-    return make_events(win_rows())
+    return as_event_frame(win_rows())
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ def mixed_pdf():
         net_ev(1, DAY0 + 9 * SEC, "write", "E", "procE", "3.3.3.3", 443, 3),
         net_ev(1, DAY0 + 16 * SEC, "write", "D", "procD", "3.3.3.3", 443, 8),
     ]
-    return make_events(win_rows() + rows)
+    return as_event_frame(win_rows() + rows)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +97,7 @@ class TestWindows:
 
     def test_gap_when_step_exceeds_window(self, spark, store_of):
         # window 2s, step 10s: event at t=5s falls between windows.
-        eng = AIQLEngine(spark, store_of(make_events([
+        eng = AIQLEngine(spark, store_of(as_event_frame([
             net_ev(1, DAY0 + 5 * SEC, "write", "X", "procX", "1.1.1.1", 80, 9)])))
         out = eng.execute(
             AT + "window = 2 sec, step = 10 sec\n"

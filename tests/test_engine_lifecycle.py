@@ -1,9 +1,9 @@
 """A query caches nothing: after ``plan``, ``execute`` and ``collect``,
 Spark holds no more persistent RDDs than before, for multievent,
 single-pattern and anomaly queries alike, and with threads sharing one
-engine. Planning runs no Spark job once the event count table exists, and
-the store computes that table once per ``write``. A query over a small
-scope runs in one partition: no shuffle, and one job for a single
+engine. Planning runs no Spark job, even on a freshly written store, and
+the store computes its event count table once per ``write``. A query over
+a small scope runs in one partition: no shuffle, and one job for a single
 pattern."""
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,7 +12,7 @@ import pytest
 from repro.core import engine as engine_mod
 from repro.core.engine import AIQLEngine
 from repro.monitor.storage import EventStore
-from repro.workload.queries import query_by_name
+from repro.workload.queries import QUERIES, query_by_name
 from tests.conftest import executed_plan
 
 AT = '(at "04/10/2018")\n'
@@ -111,10 +111,23 @@ class TestPinning:
 
 class TestNoProbe:
     def test_plan_runs_no_job_once_counted(self, spark, tiny_engine):
-        tiny_engine.plan(TWO_PATTERN)  # computes the count table
         before = jobs_started(spark)
+        tiny_engine.plan(TWO_PATTERN)
         tiny_engine.plan(OTHER_TWO_PATTERN)
         tiny_engine.execute(TWO_PATTERN)  # lazy: builds the plan, runs nothing
+        assert jobs_started(spark) == before
+
+    def test_fresh_store_runs_no_job_before_collect(self, spark, store_of,
+                                                    events_pdf):
+        """The count table is read without Spark: on a store just written,
+        neither ``plan`` nor ``execute`` of any workload query starts a
+        job; each query's own job starts at ``collect``."""
+        eng = AIQLEngine(spark, store_of(events_pdf))
+        before = jobs_started(spark)
+        eng.plan(query_by_name("q05_exfil_chain").aiql)
+        assert jobs_started(spark) == before
+        for q in QUERIES:
+            eng.execute(q.aiql)
         assert jobs_started(spark) == before
 
     def test_counts_once_per_store_until_write(self, spark, tiny, tmp_path):
@@ -153,7 +166,6 @@ class TestOnePartition:
         assert_history_window(plan)
 
     def test_single_pattern_distinct_is_one_job(self, spark, engine):
-        engine.store.event_counts()
         before = jobs_started(spark)
         assert engine.execute(
             query_by_name("q02_powershell_reads").aiql).collect()
@@ -166,8 +178,7 @@ class TestOnePartition:
         text = query_by_name(name).aiql
         plan = eng.plan(text)
         q = plan.analysis.query
-        want = sum(n for (agentid, day, _, _), n in eng.store.event_counts().items()
-                   if agentid == q.agentid and day == "2018-04-10")
+        want = sum(eng.store.scope_counts(q.time_range, q.agentid).values())
         assert (plan.scope_rows, plan.one_partition) == (want, True)
         monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", plan.scope_rows - 1)
         assert eng.plan(text).one_partition is False

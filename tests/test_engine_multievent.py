@@ -8,9 +8,9 @@ from repro.core import engine as engine_mod
 from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.compiler import pattern_filter
 from repro.core.engine import AIQLEngine
+from repro.monitor.generator import as_event_frame
 from repro.oracle import assert_same_rows, run_duckdb
-from tests.conftest import (DAY0, executed_plan, file_ev, make_events,
-                            partitioned, proc_ev)
+from tests.conftest import DAY0, executed_plan, file_ev, partitioned, proc_ev
 
 AT = '(at "04/10/2018")\n'
 
@@ -176,7 +176,7 @@ def win_paths_pdf():
     """Windows paths: backslashes, and a ``\\t`` that SQL escapes would
     read as a tab."""
     exe, t = "c:\\temp\\t.exe", DAY0
-    return make_events([
+    return as_event_frame([
         proc_ev(1, t + 1_000, "start", "a1", "explorer.exe", "b1", exe),
         file_ev(1, t + 2_000, "write", "b1", exe, "c:\\temp\\x.dat"),
         file_ev(1, t + 3_000, "read", "b1", exe, "c:\\users\\doc.txt"),
@@ -238,7 +238,7 @@ def underscore_pdf():
     only the reading of ``_`` as a LIKE wildcard matches both. And a file
     whose name has braces."""
     t = DAY0
-    return make_events([
+    return as_event_frame([
         file_ev(1, t + 1_000, "write", "b1", "curl", "/tmp/info_stealer"),
         file_ev(1, t + 2_000, "write", "b1", "curl", "/tmp/infoXstealer"),
         file_ev(1, t + 3_000, "write", "c1", "wget", "c:\\info_stealer"),

@@ -43,11 +43,15 @@ from repro.workload.queries import QUERIES
      "return p as x, q as X", AIQLSemanticError),
     ("proc p read file f as e\nproc q write file f as E\nreturn p, q",
      AIQLSemanticError),
+    # a digit ``int`` rejects, a letter Spark's parser rejects in a name
+    ("agentid = ² proc p read file f as e return p", AIQLSyntaxError),
+    ("proc p read file f as eé\nreturn p", AIQLSyntaxError),
 ], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal",
         "subject-is-object", "aggregate-without-attribute",
         "aggregate-alias-s_name", "aggregate-alias-s_uid", "aggregate-alias-wid",
         "aggregate-aliases-by-case", "output-names-by-case",
-        "event-aliases-by-case"])
+        "event-aliases-by-case", "superscript-digit",
+        "non-ascii-name"])
 def test_error_class(text, cls):
     with pytest.raises(ValueError) as info:
         analyze_text(text)

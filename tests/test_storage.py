@@ -1,5 +1,6 @@
 """EventStore tests: layout roundtrips, partition pruning, layouts and the
-event count table opened once per write."""
+event count table opened once per write, and that table checked against
+Spark's aggregate."""
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,9 +11,10 @@ from repro.core.compiler import pattern_filter
 from repro.core.dependency import analyze_text
 from repro.core.engine import AIQLEngine
 from repro.monitor import storage
-from repro.monitor.storage import EventStore
+from repro.monitor.generator import as_event_frame
+from repro.monitor.storage import COUNT_KEYS, EventStore
 from repro.workload.queries import QUERIES, query_by_name
-from tests.conftest import DAY0, file_ev, make_events
+from tests.conftest import DAY0, file_ev
 
 MULTI_PATTERN = [q.name for q in QUERIES
                  if len(analyze_text(q.aiql).query.events) > 1]
@@ -40,17 +42,20 @@ class TestRoundtrip:
 
     def test_special_characters_survive_both_layouts(self, store_of):
         """A name may hold line breaks, the CSV separator, quotes and
-        backslashes: the flat layout keeps each in its one row."""
+        backslashes, or be empty: the flat layout keeps each in its one
+        row, and keeps NULL apart from the empty string."""
         names = ["line\nbreak", "crlf\r\nbreak", "a,b", 'say "hi"',
-                 "o'brien", "c:\\temp\\", 'a\\"b', "plain"]
-        s = store_of(make_events([file_ev(1, DAY0 + i, "read", "a1", "bash", n)
-                                  for i, n in enumerate(names)]))
+                 "o'brien", "c:\\temp\\", 'a\\"b', "plain", ""]
+        s = store_of(as_event_frame([file_ev(1, DAY0 + i, "read", "a1", "bash", n)
+                                     for i, n in enumerate(names)]))
         assert s.events_flat().count() == len(names)
         cols = ["ts", "o_name"]
         flat = sorted(tuple(r) for r in s.events_flat().select(cols).collect())
         part = sorted(tuple(r) for r in s.events_partitioned().select(cols).collect())
         assert flat == part
         assert [n for _, n in part] == names
+        # A file event has no network object: NULL string and int columns.
+        assert s.events_flat().filter("o_ip IS NULL AND o_port IS NULL").count() == len(names)
 
     def test_values_survive_roundtrip(self, store, events_pdf):
         got = (store.events_partitioned()
@@ -183,9 +188,9 @@ class TestEventCounts:
         s.write(tiny)
         calls, count_events = [], storage.count_events
 
-        def count(events):
+        def count(path):
             calls.append(1)
-            return count_events(events)
+            return count_events(path)
         monkeypatch.setattr(storage, "count_events", count)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -198,3 +203,14 @@ class TestEventCounts:
         assert len(calls) == 1
         assert all(t is tables[0] for t in tables)
         assert sum(tables[0].values()) == tiny.count()
+
+    @pytest.mark.parametrize("source", ["store", "tiny_engine"])
+    def test_arrow_counts_equal_spark_aggregate(self, request, source):
+        """Arrow's per-file count is the table Spark's aggregate over the
+        partitioned layout gives, key types included."""
+        s = request.getfixturevalue(source)
+        s = getattr(s, "store", s)
+        want = {tuple(r[:-1]): r[-1] for r in
+                s.events_partitioned().groupBy(*COUNT_KEYS).count().collect()}
+        assert s.event_counts() == want
+        assert {tuple(map(type, k)) for k in s.event_counts()} == {(int, str, str, str)}
