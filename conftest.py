@@ -1,13 +1,8 @@
-import os
 import sys
 
-# Make `import repro` work even when the editable install is absent (the
-# offline container lacks `wheel`, which PEP 517 editable installs need).
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "src"))
+import pytest
 
-import pytest  # noqa: E402
-
-from repro.session import get_spark  # noqa: E402
+from repro.session import get_spark
 
 
 @pytest.fixture(scope="session")

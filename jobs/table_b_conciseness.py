@@ -7,6 +7,10 @@ Usage: python jobs/table_b_conciseness.py
 """
 from __future__ import annotations
 
+import os as _os, sys as _sys
+_ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
+_sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
+
 
 def measure_all():
     """Per-query conciseness rows + aggregate ratios for the workload."""
@@ -43,9 +47,6 @@ def render(rows, ratios) -> str:
 
 
 def main() -> None:
-    import sys, os
-    sys.path.insert(0, os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
     rows, ratios = measure_all()
     print(render(rows, ratios))
 

@@ -2,5 +2,3 @@
 pruning-power scheduler, anomaly engine, equivalent-SQL synthesis, and the
 big-SQL baseline — the paper's primary contribution (DESIGN.md §2).
 """
-from repro.core.engine import AIQLEngine  # noqa: F401
-from repro.core.parser import parse  # noqa: F401

@@ -17,7 +17,7 @@ from repro.core.dependency import analyze_text
 from repro.core.sqlgen import equivalent_sql
 
 
-def baseline_sql(text: str, dialect: str = "spark", table: str = "events") -> str:
+def baseline_sql(text: str, dialect: str, table: str = "events") -> str:
     """The big-SQL equivalent of an AIQL query, in the given dialect."""
     return equivalent_sql(analyze_text(text), dialect, table)
 
@@ -29,5 +29,8 @@ def run_baseline(spark: SparkSession, text: str, events: DataFrame) -> DataFrame
 
 
 def oracle_sql(text: str, table: str = "events") -> str:
-    """The DuckDB-dialect equivalent, for ``repro.oracle.assert_equivalent``."""
+    """The DuckDB-dialect equivalent. DuckDB's rows for it are the one
+    reference: the tests compare the engine on both plan branches and
+    ``run_baseline`` with them (``tests/conftest.py::assert_agree``), and
+    ``aiqlbench`` checks every operation against them."""
     return baseline_sql(text, "duckdb", table)

@@ -19,7 +19,7 @@ _NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _PUNCT = [
-    "<=", ">=", "!=", "->",  # two-char first
+    "<=", ">=", "!=",  # two-char first
     "(", ")", "[", "]", ",", "=", "<", ">", ".", "*", "/", "+", "-",
 ]
 

@@ -37,7 +37,7 @@ def check_dialect(dialect: str) -> None:
 
 
 # ------------------------------------------------------------- multievent
-def multievent_sql(ana: Analysis, dialect: str = "spark", table: str = "events",
+def multievent_sql(ana: Analysis, dialect: str, table: str = "events",
                    order: list[str] | None = None, broadcast=frozenset()) -> str:
     """The flat self-join formulation an analyst would hand-write: one
     ``events`` scan per event pattern, explicit JOIN ... ON clauses carrying
@@ -100,7 +100,7 @@ def history_sql(ana: Analysis) -> str:
     return f"(SELECT *, {', '.join(cols)} FROM agg)"
 
 
-def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events",
+def anomaly_sql(ana: Analysis, dialect: str, table: str = "events",
                 history: str = "join") -> str:
     """Sliding windows + historical aggregates as explicit SQL: window-id
     explosion, GROUP BY, and one self LEFT JOIN per history depth, or with
@@ -156,7 +156,7 @@ def anomaly_sql(ana: Analysis, dialect: str = "spark", table: str = "events",
     )
 
 
-def equivalent_sql(ana: Analysis, dialect: str = "spark", table: str = "events") -> str:
+def equivalent_sql(ana: Analysis, dialect: str, table: str = "events") -> str:
     """The one-big-SQL equivalent of any analyzed query."""
     if ana.query.mode == "anomaly":
         return anomaly_sql(ana, dialect, table)

@@ -3,10 +3,3 @@ trace generator (with injected APT kill-chain), and the time/space
 partitioned Parquet store — the AIQL paper's "data collection and storage"
 layer, rebuilt synthetically (see DESIGN.md §4).
 """
-from repro.monitor.schema import (  # noqa: F401
-    EVENT_COLUMNS,
-    OP_ETYPE,
-    event_spark_schema,
-)
-from repro.monitor.generator import gen_events, ATTACKER_IP, host_ip  # noqa: F401
-from repro.monitor.storage import EventStore  # noqa: F401

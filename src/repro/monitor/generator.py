@@ -78,8 +78,9 @@ def host_ip(agentid: int) -> str:
     return f"10.0.0.{agentid}"
 
 
-def _day_start_ms(day: str) -> int:
-    return int(pd.Timestamp(day, tz="UTC").timestamp() * 1000)
+#: Midnight (UTC) that starts the trace: 04/10/2018, the day the
+#: workload queries name.
+_DAY0 = int(pd.Timestamp("2018-04-10", tz="UTC").timestamp() * 1000)
 
 
 def _ms(day0: int, hh: int, mm: int, ss: int = 0) -> int:
@@ -373,22 +374,21 @@ def as_event_frame(rows: list[dict]) -> pd.DataFrame:
     return _to_pandas(_finish(raw))
 
 
-def _event_table(*, sf, n_hosts, seed, start_day, days, attack) -> pa.Table:
+def _event_table(*, sf, n_hosts, seed, days, attack) -> pa.Table:
     """Background + attack rows as one finished event table."""
     if n_hosts < 5 and attack:
         raise ValueError("the attack scenario spans hosts 1-5; need n_hosts >= 5")
-    day0 = _day_start_ms(start_day)
     n = max(1, int(_N_EVENTS_PER_SF * sf))
-    raw = _background(n, n_hosts, day0, days, np.random.default_rng(seed))
+    raw = _background(n, n_hosts, _DAY0, days, np.random.default_rng(seed))
     if attack:
-        atk = pa.Table.from_pylist(_attack_rows(day0), schema=_RAW_SCHEMA)
+        atk = pa.Table.from_pylist(_attack_rows(_DAY0), schema=_RAW_SCHEMA)
         raw = pa.concat_tables([raw, atk])
     return _finish(raw)
 
 
 def gen_events_pdf(
     *, sf: float = 0.01, n_hosts: int = 10, seed: int = 0,
-    start_day: str = "2018-04-10", days: int = 1, attack: bool = True,
+    days: int = 1, attack: bool = True,
 ) -> pd.DataFrame:
     """Full trace as a pandas frame (background + attack), schema-typed:
     the pandas conversion of the table :func:`gen_events` loads.
@@ -397,14 +397,13 @@ def gen_events_pdf(
     after the sort so event ids are time-ordered.
     """
     return _to_pandas(_event_table(
-        sf=sf, n_hosts=n_hosts, seed=seed, start_day=start_day, days=days,
-        attack=attack,
+        sf=sf, n_hosts=n_hosts, seed=seed, days=days, attack=attack,
     ))
 
 
 def gen_events(
     spark: SparkSession, *, sf: float = 0.01, n_hosts: int = 10, seed: int = 0,
-    start_day: str = "2018-04-10", days: int = 1, attack: bool = True,
+    days: int = 1, attack: bool = True,
 ) -> DataFrame:
     """Spark DataFrame of the trace, with the exact event schema.
 
@@ -412,7 +411,6 @@ def gen_events(
     end to end — the SF 0.5 benchmark dataset builds in tens of seconds.
     """
     tbl = _event_table(
-        sf=sf, n_hosts=n_hosts, seed=seed, start_day=start_day, days=days,
-        attack=attack,
+        sf=sf, n_hosts=n_hosts, seed=seed, days=days, attack=attack,
     )
     return spark.createDataFrame(tbl, schema=event_spark_schema())

@@ -2,4 +2,3 @@
 queries (three written as dependency queries) + 1 anomaly query covering
 attack steps a1–a5, plus the conciseness metrics for Table B.
 """
-from repro.workload.queries import QUERIES, InvestigationQuery, query_by_name  # noqa: F401

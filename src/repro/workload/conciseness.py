@@ -8,9 +8,9 @@ Metrics, computed identically on both texts:
 
 * **constraints** — number of atomic predicates. For AIQL this is counted
   structurally from the AST (bracket filters + global time/agent/window
-  constraints + temporal relations); for SQL it is the number of comparison
-  / LIKE operators in the text (every predicate in the synthesized SQL is a
-  single such operator).
+  constraints + temporal relations + the comparisons of ``having``); for
+  SQL it is the number of comparison / LIKE operators in the text (every
+  predicate in the synthesized SQL is a single such operator).
 * **words** — whitespace-separated tokens.
 * **chars** — characters excluding all whitespace.
 """
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from repro.core.analyzer import Analysis
-from repro.core.ast import Query
+from repro.core.ast import BinOp, Query, UnaryOp
 
 _SQL_CMP_RE = re.compile(
     r"<=|>=|<>|!=|(?<![<>!=])=(?!=)|<(?![=>])|>(?!=)|\bLIKE\b"
@@ -37,14 +37,17 @@ def aiql_constraints(q: Query) -> int:
         n += len(ev.subject.filters) + len(ev.object.filters)
     for tc in q.temporal:
         n += 1 + (1 if tc.within_ms is not None else 0)
-    if q.having is not None:
-        n += len(_SQL_CMP_RE.findall(_having_text(q)))
-    return n
+    return n + _comparisons(q.having)
 
 
-def _having_text(q: Query) -> str:
-    m = re.search(r"having(.*)", strip_comments(q.text), re.S | re.I)
-    return m.group(1) if m else ""
+def _comparisons(e) -> int:
+    """The comparison operators of a ``having`` expression tree."""
+    if isinstance(e, BinOp):
+        own = e.op in ("=", "!=", "<", "<=", ">", ">=")
+        return own + _comparisons(e.left) + _comparisons(e.right)
+    if isinstance(e, UnaryOp):
+        return _comparisons(e.operand)
+    return 0
 
 
 def sql_constraints(sql: str) -> int:

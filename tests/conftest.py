@@ -8,8 +8,10 @@ Data tiers:
 * ``store`` — both on-disk layouts of the SF 0.001 trace; ``store_of``
   writes any event frame to a new store, the engine's only source.
 
-Result comparison (``run_duckdb``, ``assert_same_rows``) lives in
-``repro.oracle``.
+One agreement check: ``assert_agree`` compares the engine on both plan
+branches and the Spark baseline with DuckDB's rows for the query's
+synthesized SQL (``reference``). Result comparison itself
+(``run_duckdb``, ``assert_same_rows``) lives in ``repro.oracle``.
 """
 from __future__ import annotations
 
@@ -20,10 +22,13 @@ import pandas as pd
 import pytest
 
 from repro.core import engine as engine_mod
+from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
 from repro.monitor.generator import as_event_frame, gen_events_pdf
 from repro.monitor.schema import DAY_MS, event_spark_schema
 from repro.monitor.storage import EventStore
+from repro.oracle import assert_same_rows, run_duckdb
+from repro.workload.queries import QUERIES
 
 DAY0 = 1523318400000  # 2018-04-10 00:00:00 UTC
 
@@ -63,6 +68,32 @@ def partitioned(engine):
     least = min(scope_rows(agentid, day) for agentid, day, _, _ in store.event_counts())
     with mock.patch.object(engine_mod, "BROADCAST_ROWS", least - 1):
         yield
+
+
+def reference(text: str, pdf: pd.DataFrame) -> pd.DataFrame:
+    """DuckDB's rows for the synthesized SQL of ``text`` over ``pdf``."""
+    return run_duckdb(oracle_sql(text), events=pdf)
+
+
+def partitioned_rows(engine, text: str) -> pd.DataFrame:
+    """The engine's rows on the plan of a scope larger than one partition."""
+    with partitioned(engine):
+        got = engine.execute(text)
+        assert "Coalesce" not in executed_plan(got)
+        return got.toPandas()
+
+
+def baseline_rows(engine, text: str) -> pd.DataFrame:
+    """The Spark baseline's rows over the engine's flat layout."""
+    return run_baseline(engine.spark, text, engine.store.events_flat()).toPandas()
+
+
+def assert_agree(engine, text: str, want: pd.DataFrame) -> None:
+    """The engine on both plan branches and the Spark baseline each return
+    ``want``, the ``reference`` rows of ``text`` over the engine's events."""
+    assert_same_rows(engine.execute(text).toPandas(), want)
+    assert_same_rows(partitioned_rows(engine, text), want)
+    assert_same_rows(baseline_rows(engine, text), want)
 
 
 @pytest.fixture(scope="session")
@@ -121,6 +152,13 @@ def store(store_of, events_pdf) -> EventStore:
 @pytest.fixture(scope="session")
 def engine(spark, store):
     return AIQLEngine(spark, store)
+
+
+@pytest.fixture(scope="session")
+def workload_want(events_pdf) -> dict[str, pd.DataFrame]:
+    """Workload query name -> its ``reference`` rows over the SF 0.001
+    trace, computed once for every test that checks one side against it."""
+    return {q.name: reference(q.aiql, events_pdf) for q in QUERIES}
 
 
 @pytest.fixture(scope="session")

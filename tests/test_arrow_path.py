@@ -37,8 +37,7 @@ class TestArrowEqualsPandas:
 
 class TestToArrow:
     def test_empty_string_becomes_null(self):
-        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0,
-                           start_day="2018-04-10", days=1, attack=True)
+        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0, days=1, attack=True)
         o_name = tbl.column("o_name")
         assert o_name.null_count > 0
         assert tbl.column("etype").null_count == 0
@@ -46,8 +45,7 @@ class TestToArrow:
 
     def test_schema_types(self):
         import pyarrow as pa
-        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0,
-                           start_day="2018-04-10", days=1, attack=False)
+        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0, days=1, attack=False)
         assert tbl.schema.field("agentid").type == pa.int32()
         assert tbl.schema.field("ts").type == pa.int64()
         assert tbl.schema.field("o_port").type == pa.int32()
@@ -56,14 +54,12 @@ class TestToArrow:
     def test_even_batches(self):
         """One chunk per column, so Spark cuts the table into full
         10k-row Arrow batches (one partition each)."""
-        tbl = _event_table(sf=0.001, n_hosts=10, seed=0,
-                           start_day="2018-04-10", days=1, attack=True)
+        tbl = _event_table(sf=0.001, n_hosts=10, seed=0, days=1, attack=True)
         assert [b.num_rows for b in tbl.to_batches(max_chunksize=10_000)] \
             == [10_000, 10_000, 211]
 
     def test_attack_names_not_truncated(self):
-        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0,
-                           start_day="2018-04-10", days=1, attack=True)
+        tbl = _event_table(sf=0.00005, n_hosts=5, seed=0, days=1, attack=True)
         names = set(tbl.column("o_name").to_pylist())
         assert "cve-2015-1701.exe" in set(tbl.column("s_name").to_pylist()) \
             | names

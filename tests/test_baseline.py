@@ -1,11 +1,13 @@
 """Baseline tests: the one-big-SQL plan executed by spark.sql must return
-exactly the engine's rows for every workload query (Table A compares two
+exactly the DuckDB reference rows, which ``test_workload`` checks the
+engine against, for every workload query (Table A compares two
 result-equivalent strategies)."""
 import pytest
 
-from repro.core.baseline import baseline_sql, run_baseline
+from repro.core.baseline import baseline_sql
 from repro.oracle import assert_same_rows
-from repro.workload.queries import QUERIES
+from repro.workload.queries import QUERIES, query_by_name
+from tests.conftest import baseline_rows
 
 NAMES = [q.name for q in QUERIES]
 
@@ -25,8 +27,6 @@ class TestBaselineText:
 
 class TestBaselineEquivalence:
     @pytest.mark.parametrize("name", NAMES)
-    def test_baseline_matches_engine(self, spark, engine, name):
-        q = next(x for x in QUERIES if x.name == name)
-        a = engine.execute(q.aiql).toPandas()
-        b = run_baseline(spark, q.aiql, engine.store.events_flat()).toPandas()
-        assert_same_rows(a, b)
+    def test_baseline_matches_engine(self, engine, workload_want, name):
+        got = baseline_rows(engine, query_by_name(name).aiql)
+        assert_same_rows(got, workload_want[name])

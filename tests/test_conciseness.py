@@ -50,6 +50,16 @@ class TestAiqlConstraints:
         # time + agent + window/step(2) + dstip filter + having(1 cmp) = 6
         assert aiql_constraints(q) == 6
 
+    def test_having_counted_from_its_clause_alone(self):
+        # A string with "having" before the clause adds nothing: time +
+        # agent + window/step(2) + 3 bracket filters + having(1 cmp) = 8.
+        q = parse('(at "04/10/2018")\nagentid = 1\n'
+                  'window = 1 min, step = 10 sec\n'
+                  'proc p["%having%"] write ip i[dstport=443, dstip != "1.2.3.4"] as e\n'
+                  'return p, avg(e.amount) as amt\ngroup by p\n'
+                  'having amt > amt[1]')
+        assert aiql_constraints(q) == 8
+
 
 class TestWorkloadRatios:
     @pytest.fixture(scope="class")

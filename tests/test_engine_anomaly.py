@@ -10,11 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.engine import AIQLEngine
 from repro.monitor.generator import as_event_frame
-from repro.oracle import assert_same_rows, run_duckdb
-from tests.conftest import DAY0, executed_plan, net_ev, partitioned
+from tests.conftest import DAY0, assert_agree, net_ev, reference
 
 AT = '(at "04/10/2018")\n'
 SEC = 1_000
@@ -166,9 +164,7 @@ class TestOracleAgreement:
     ])
     def test_engine_matches_duckdb(self, win_engine, win_pdf, body):
         text = q(body)
-        got = win_engine.execute(text).toPandas()
-        want = run_duckdb(oracle_sql(text), events=win_pdf)
-        assert_same_rows(got, want)
+        assert_agree(win_engine, text, reference(text, win_pdf))
 
     @pytest.mark.parametrize("body", [
         # NULL ports form no group with history: every NULL-port window
@@ -184,10 +180,9 @@ class TestOracleAgreement:
     ])
     def test_history_edge_cases(self, mixed_engine, mixed_pdf, body):
         text = q(body)
-        got = mixed_engine.execute(text).toPandas()
-        want = run_duckdb(oracle_sql(text), events=mixed_pdf)
+        want = reference(text, mixed_pdf)
         assert len(want) > 0
-        assert_same_rows(got, want)
+        assert_agree(mixed_engine, text, want)
 
     @pytest.mark.parametrize("cond", [
         r'"a\\" = "a\\"',
@@ -195,51 +190,34 @@ class TestOracleAgreement:
         "\"o'b\" != \"ob\"",
         "\"a\\\\'b\" != \"a'b\"",
     ])
-    def test_quoted_literal_in_having(self, spark, win_engine, win_pdf, cond):
+    def test_quoted_literal_in_having(self, win_engine, win_pdf, cond):
         """A string literal in ``having`` is quoted for each dialect, as
         pattern filters are: the engine, the Spark baseline and DuckDB all
         read ``"a\\\\"`` as ``a\\`` and keep a quote, alone or after a
         backslash."""
         text = q('proc p write ip i as e\nreturn p, avg(e.amount) as amt\n'
                  f'group by p\nhaving amt > 0 and {cond}')
-        want = run_duckdb(oracle_sql(text), events=win_pdf)
+        want = reference(text, win_pdf)
         assert len(want) > 0
-        assert_same_rows(win_engine.execute(text).toPandas(), want)
-        assert_same_rows(
-            run_baseline(spark, text, win_engine.store.events_flat()).toPandas(), want)
+        assert_agree(win_engine, text, want)
 
-    def test_aggregate_alias_named_like_an_event_column(self, spark, win_engine,
-                                                        win_pdf):
+    def test_aggregate_alias_named_like_an_event_column(self, win_engine, win_pdf):
         """An aggregate alias may name an event column the aggregate does
         not group by, also in history access."""
         text = q('proc p write ip i as e\nreturn p, avg(e.amount) as amount\n'
                  'group by p\nhaving amount > amount[1]')
-        want = run_duckdb(oracle_sql(text), events=win_pdf)
+        want = reference(text, win_pdf)
         assert len(want) > 0
-        assert_same_rows(win_engine.execute(text).toPandas(), want)
-        assert_same_rows(
-            run_baseline(spark, text, win_engine.store.events_flat()).toPandas(), want)
+        assert_agree(win_engine, text, want)
 
-    def test_aggregate_alias_named_like_a_history_lookup(self, spark, win_engine,
-                                                          win_pdf):
+    def test_aggregate_alias_named_like_a_history_lookup(self, win_engine, win_pdf):
         """An aggregate alias may read like a name the engine gives a
         history lookup."""
         text = q('proc p write ip i as e\nreturn p, avg(e.amount) as amt, '
                  'sum(e.amount) as __h1__amt\ngroup by p\nhaving amt > amt[1]')
-        want = run_duckdb(oracle_sql(text), events=win_pdf)
+        want = reference(text, win_pdf)
         assert len(want) > 0
-        assert_same_rows(win_engine.execute(text).toPandas(), want)
-        assert_same_rows(
-            run_baseline(spark, text, win_engine.store.events_flat()).toPandas(), want)
-
-    def test_workload_anomaly_on_trace(self, engine, events_pdf):
-        from repro.workload.queries import query_by_name
-        text = query_by_name("q01_anomaly_exfil").aiql
-        got = engine.execute(text).toPandas()
-        want = run_duckdb(oracle_sql(text), events=events_pdf)
-        assert_same_rows(got, want)
-        assert {"powershell.exe", "sbblv.exe"} <= set(got["p"])
-        assert "telemetry.exe" not in set(got["p"])
+        assert_agree(win_engine, text, want)
 
 
 _CMP = ["=", "!=", "<", "<=", ">", ">="]
@@ -272,20 +250,10 @@ def anomaly_queries(draw):
 
 
 class TestGeneratedAgainstOracle:
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(text=anomaly_queries())
-    def test_engine_matches_duckdb(self, mixed_engine, mixed_pdf, text):
-        got = mixed_engine.execute(text).toPandas()
-        want = run_duckdb(oracle_sql(text), events=mixed_pdf)
-        assert_same_rows(got, want)
+    """The engine on both plan branches, the Spark baseline and DuckDB
+    return the same rows on generated anomaly queries."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(text=anomaly_queries())
-    def test_partitioned_plan_matches_duckdb(self, mixed_engine, mixed_pdf, text):
-        """The shuffled aggregate and history window of a scope too large
-        for one partition give the same rows."""
-        with partitioned(mixed_engine):
-            got = mixed_engine.execute(text)
-            assert "Exchange hashpartitioning" in executed_plan(got)
-            assert_same_rows(got.toPandas(),
-                             run_duckdb(oracle_sql(text), events=mixed_pdf))
+    def test_engine_matches_duckdb(self, mixed_engine, mixed_pdf, text):
+        assert_agree(mixed_engine, text, reference(text, mixed_pdf))

@@ -1,16 +1,15 @@
 """Multievent engine semantics on the hand-crafted micro dataset, each
-cross-checked against the DuckDB oracle where it adds signal."""
+cross-checked against the DuckDB reference (``assert_agree``) where it
+adds signal."""
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import engine as engine_mod
-from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.compiler import pattern_filter
 from repro.core.engine import AIQLEngine
 from repro.monitor.generator import as_event_frame
-from repro.oracle import assert_same_rows, run_duckdb
-from tests.conftest import DAY0, executed_plan, file_ev, partitioned, proc_ev
+from tests.conftest import DAY0, assert_agree, file_ev, proc_ev, reference
 
 AT = '(at "04/10/2018")\n'
 
@@ -166,9 +165,7 @@ class TestOracleAgreement:
     ])
     def test_engine_matches_duckdb(self, tiny_engine, tiny_pdf, q):
         text = AT + q
-        got = tiny_engine.execute(text).toPandas()
-        want = run_duckdb(oracle_sql(text), events=tiny_pdf)
-        assert_same_rows(got, want)
+        assert_agree(tiny_engine, text, reference(text, tiny_pdf))
 
 
 @pytest.fixture(scope="module")
@@ -199,15 +196,11 @@ class TestBackslashStrings:
         r'proc p["%\\temp%"] read file f as e1' '\nreturn p, f',
         r'proc p["c:\\temp\\t.exe"] read file f as e1' '\nreturn p, f',
     ])
-    def test_engine_baseline_duckdb_agree(self, spark, win_paths_engine,
-                                          win_paths_pdf, q):
+    def test_engine_baseline_duckdb_agree(self, win_paths_engine, win_paths_pdf, q):
         text = AT + q
-        got = win_paths_engine.execute(text).toPandas()
-        want = run_duckdb(oracle_sql(text), events=win_paths_pdf)
+        want = reference(text, win_paths_pdf)
         assert len(want) > 0
-        assert_same_rows(got, want)
-        flat = win_paths_engine.store.events_flat()
-        assert_same_rows(run_baseline(spark, text, flat).toPandas(), want)
+        assert_agree(win_paths_engine, text, want)
 
 
 class TestQuoteStrings:
@@ -222,14 +215,11 @@ class TestQuoteStrings:
         "proc p read file f[\"%\\\\'q%\"] as e1\nreturn f",
         "proc p read file f[\"c:\\\\o'brien\\\\'q.txt\"] as e1\nreturn f",
     ])
-    def test_engine_baseline_duckdb_agree(self, spark, win_paths_engine,
-                                          win_paths_pdf, q):
+    def test_engine_baseline_duckdb_agree(self, win_paths_engine, win_paths_pdf, q):
         text = AT + q
-        duck = run_duckdb(oracle_sql(text), events=win_paths_pdf)
-        assert set(duck.itertuples(index=False, name=None)) == {(self.QUOTED,)}
-        assert_same_rows(win_paths_engine.execute(text).toPandas(), duck)
-        flat = win_paths_engine.store.events_flat()
-        assert_same_rows(run_baseline(spark, text, flat).toPandas(), duck)
+        want = reference(text, win_paths_pdf)
+        assert set(want.itertuples(index=False, name=None)) == {(self.QUOTED,)}
+        assert_agree(win_paths_engine, text, want)
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +246,7 @@ class TestUnderscoreStrings:
     baseline and DuckDB return exactly the rows with a literal ``_``. So do
     ``{`` and ``}``, which no formatter may read as fields."""
 
-    @pytest.mark.parametrize("q, want", [
+    @pytest.mark.parametrize("q, rows", [
         ('proc p write file f["%info_stealer%"] as e1\nreturn p, f',
          {("curl", "/tmp/info_stealer"), ("wget", "c:\\info_stealer")}),
         (r'proc p write file f["%\\info_%"] as e1' '\nreturn p, f',
@@ -266,14 +256,12 @@ class TestUnderscoreStrings:
         ('proc p write file f["%{x}%a}{b"] as e1\nreturn p, f',
          {("vim", "/tmp/%{x}%a}{b")}),
     ], ids=["like", "like-after-backslash", "not-like", "braces"])
-    def test_engine_baseline_duckdb_agree(self, spark, underscore_engine,
-                                          underscore_pdf, q, want):
+    def test_engine_baseline_duckdb_agree(self, underscore_engine, underscore_pdf,
+                                          q, rows):
         text = AT + q
-        duck = run_duckdb(oracle_sql(text), events=underscore_pdf)
-        assert set(duck.itertuples(index=False, name=None)) == want
-        assert_same_rows(underscore_engine.execute(text).toPandas(), duck)
-        flat = underscore_engine.store.events_flat()
-        assert_same_rows(run_baseline(spark, text, flat).toPandas(), duck)
+        want = reference(text, underscore_pdf)
+        assert set(want.itertuples(index=False, name=None)) == rows
+        assert_agree(underscore_engine, text, want)
 
 
 class TestPlanAndScheduling:
@@ -446,8 +434,9 @@ def multievent_queries(draw):
 
 
 class TestGeneratedAgainstOracle:
-    """The engine, the Spark baseline and DuckDB return the same rows on
-    generated queries (differential testing, as SQLancer does)."""
+    """The engine on both plan branches, the Spark baseline and DuckDB
+    return the same rows on generated queries (differential testing, as
+    SQLancer does)."""
 
     @pytest.fixture(scope="class")
     def sources(self, tiny_engine, tiny_pdf, engine, events_pdf):
@@ -456,26 +445,9 @@ class TestGeneratedAgainstOracle:
     @pytest.mark.parametrize("data", ["tiny", "sf0.001"])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(text=multievent_queries())
-    def test_engine_baseline_duckdb_agree(self, spark, sources, data, text):
+    def test_engine_baseline_duckdb_agree(self, sources, data, text):
         eng, pdf = sources[data]
-        want = run_duckdb(oracle_sql(text), events=pdf)
+        want = reference(text, pdf)
         # Keeps collecting cheap; the row count is not what is tested.
         assume(len(want) <= 2000)
-        assert_same_rows(eng.execute(text).toPandas(), want)
-        flat = eng.store.events_flat()
-        assert_same_rows(run_baseline(spark, text, flat).toPandas(), want)
-
-    @pytest.mark.parametrize("data", ["tiny", "sf0.001"])
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(text=multievent_queries())
-    def test_partitioned_plan_agrees(self, sources, data, text):
-        """Every fixture scope is one partition by default; the engine's
-        plan for a larger scope returns the DuckDB rows too."""
-        eng, pdf = sources[data]
-        want = run_duckdb(oracle_sql(text), events=pdf)
-        assume(len(want) <= 2000)
-        with partitioned(eng):
-            assert not eng.plan(text).one_partition
-            got = eng.execute(text)
-            assert "Coalesce" not in executed_plan(got)
-            assert_same_rows(got.toPandas(), want)
+        assert_agree(eng, text, want)

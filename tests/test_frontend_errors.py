@@ -8,7 +8,7 @@ import duckdb
 import pytest
 
 from repro.core.analyzer import AIQLSemanticError
-from repro.core.baseline import baseline_sql, oracle_sql
+from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.compiler import join_multievent
 from repro.core.dependency import analyze_text
 from repro.core.lexer import AIQLSyntaxError
@@ -46,12 +46,14 @@ from repro.workload.queries import QUERIES
     # a digit ``int`` rejects, a letter Spark's parser rejects in a name
     ("agentid = ² proc p read file f as e return p", AIQLSyntaxError),
     ("proc p read file f as eé\nreturn p", AIQLSyntaxError),
+    # an arrow, which no rule of the grammar reads
+    ("proc p read file f as e1 -> e2\nreturn p", AIQLSyntaxError),
 ], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal",
         "subject-is-object", "aggregate-without-attribute",
         "aggregate-alias-s_name", "aggregate-alias-s_uid", "aggregate-alias-wid",
         "aggregate-aliases-by-case", "output-names-by-case",
         "event-aliases-by-case", "superscript-digit",
-        "non-ascii-name"])
+        "non-ascii-name", "arrow"])
 def test_error_class(text, cls):
     with pytest.raises(ValueError) as info:
         analyze_text(text)
@@ -107,7 +109,6 @@ def test_sql_keyword_names_rejected_or_run(spark, tiny_engine, tiny, tiny_pdf):
     the engine's text (with the alias as the driving FROM item and as a
     ``BROADCAST`` hint parameter) and of the baseline text, and DuckDB's
     binding of the oracle text. Nothing is executed."""
-    tiny.createOrReplaceTempView("events")
     words = {r.keyword.lower()
              for r in spark.sql("SELECT keyword FROM sql_keywords()").collect()}
     words |= {c for c, _ in EVENT_COLUMNS}
@@ -127,7 +128,7 @@ def test_sql_keyword_names_rejected_or_run(spark, tiny_engine, tiny, tiny_pdf):
                     ("engine", lambda: tiny_engine.execute(text)),
                     ("driving", lambda: join_multievent(tiny, ana, [w, "e2"], {"e2"})),
                     ("hint", lambda: join_multievent(tiny, ana, ["e2", w], {w})),
-                    ("spark", lambda: spark.sql(baseline_sql(text, "spark"))),
+                    ("spark", lambda: run_baseline(spark, text, tiny)),
                     ("duckdb", lambda: con.execute("EXPLAIN " + oracle_sql(text)))):
                 try:
                     build()

@@ -79,7 +79,7 @@ class TestPunctuation:
         t = tokenize(p)[0]
         assert t.kind == "OP" and t.value == p
 
-    @pytest.mark.parametrize("p", ["<=", ">=", "!=", "->"])
+    @pytest.mark.parametrize("p", ["<=", ">=", "!="])
     def test_two_char(self, p):
         t = tokenize(p)[0]
         assert t.kind == "OP" and t.value == p

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from repro.core.baseline import baseline_sql, oracle_sql
+from repro.core.baseline import baseline_sql, oracle_sql, run_baseline
 from repro.core.dependency import analyze_text
 from repro.core.sqlgen import anomaly_sql, equivalent_sql, multievent_sql
 from repro.oracle import assert_same_rows, run_duckdb
@@ -62,7 +62,7 @@ class TestMultieventText:
         assert "(e1.s_name LIKE '%a' OR e1.s_name = 'b')" in sql
 
     def test_custom_table_name(self):
-        sql = multievent_sql(analyze_text(self.Q), table="t")
+        sql = multievent_sql(analyze_text(self.Q), "spark", table="t")
         assert "t evt1" in sql and "events" not in sql
 
 
@@ -127,9 +127,8 @@ class TestExecutability:
                 'proc p write ip i as evt\n'
                 'return p, avg(evt.amount) as amt\ngroup by p\n'
                 'having amt > amt[1]')
-        events.createOrReplaceTempView("events")
-        a = spark.sql(sql_of(text, "spark")).toPandas()
-        b = run_duckdb(sql_of(text, "duckdb"), events=events_pdf)
+        a = run_baseline(spark, text, events).toPandas()
+        b = run_duckdb(oracle_sql(text), events=events_pdf)
         assert_same_rows(a, b)
 
 

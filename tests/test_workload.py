@@ -1,16 +1,17 @@
-"""Workload integration tests: all 20 investigation queries, each checked
-for (1) oracle result-equivalence against the synthesized SQL in DuckDB via
-``repro.oracle.assert_equivalent``, and (2) recovery of the injected attack
-ground truth."""
+"""Workload integration tests: all 20 investigation queries. Each query's
+DuckDB reference (its synthesized SQL over the SF 0.001 trace, computed
+once in ``workload_want``) must equal the engine's rows on both plan
+branches (and, in ``test_baseline``, the Spark baseline's) and recover
+the injected attack ground truth."""
 import re
 
 import pandas as pd
 import pytest
 
 from repro.core.baseline import oracle_sql
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_same_rows
 from repro.workload.queries import QUERIES, query_by_name
-from tests.conftest import executed_plan, partitioned
+from tests.conftest import partitioned, partitioned_rows
 
 NAMES = [q.name for q in QUERIES]
 
@@ -59,25 +60,23 @@ class TestStructure:
 
 class TestInvestigation:
     @pytest.mark.parametrize("name", NAMES)
-    def test_oracle_equivalence(self, engine, events_pdf, name):
+    def test_oracle_equivalence(self, engine, workload_want, name):
         """Engine result == DuckDB over the synthesized equivalent SQL."""
-        q = query_by_name(name)
-        result = engine.execute(q.aiql)
-        assert_equivalent(result, oracle_sql(q.aiql), events=events_pdf)
+        got = engine.execute(query_by_name(name).aiql).toPandas()
+        assert_same_rows(got, workload_want[name])
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_oracle_equivalence_partitioned(self, engine, events_pdf, name):
+    def test_oracle_equivalence_partitioned(self, engine, workload_want, name):
         """The same, with each query's scope read as a larger one is."""
-        q = query_by_name(name)
-        with partitioned(engine):
-            result = engine.execute(q.aiql)
-            assert "Coalesce" not in executed_plan(result)
-            assert_equivalent(result, oracle_sql(q.aiql), events=events_pdf)
+        got = partitioned_rows(engine, query_by_name(name).aiql)
+        assert_same_rows(got, workload_want[name])
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_ground_truth_recovered(self, engine, name):
+    def test_ground_truth_recovered(self, workload_want, name):
+        """The reference rows, which the engine's equal, hold the injected
+        attack's artifacts and none of the decoys."""
         q = query_by_name(name)
-        got = engine.execute(q.aiql).toPandas()
+        got = workload_want[name]
         for exp in q.contains:
             assert len(match(got, exp)) >= 1, f"{name}: missing {exp}"
         for exp in q.absent:
@@ -102,20 +101,12 @@ class TestInvestigation:
         assert re.search(rf"\bop#\d+ = {ops[plan.order[0]]}\)", leftmost), leftmost
         assert executed.toString().count("BroadcastHashJoin") == len(plan.broadcast) > 0
 
-    def test_investigation_narrative_a5(self, engine):
+    def test_investigation_narrative_a5(self, workload_want):
         """The paper's §3 investigation storyline end-to-end: the anomaly
         query flags powershell.exe; its reads reveal db.bak; db.bak's
         creator is the legitimate sqlservr.exe; the connection to XXX.129
         precedes the transfer."""
-        flagged = engine.execute(
-            query_by_name("q01_anomaly_exfil").aiql).toPandas()
-        assert "powershell.exe" in set(flagged["p"])
-        reads = engine.execute(
-            query_by_name("q02_powershell_reads").aiql).toPandas()
-        assert "/db/db.bak" in set(reads["f"])
-        creator = engine.execute(
-            query_by_name("q03_dump_creator").aiql).toPandas()
-        assert set(creator["p"]) == {"sqlservr.exe"}
-        conn = engine.execute(
-            query_by_name("q04_connect_before_transfer").aiql).toPandas()
-        assert len(conn) == 1
+        assert "powershell.exe" in set(workload_want["q01_anomaly_exfil"]["p"])
+        assert "/db/db.bak" in set(workload_want["q02_powershell_reads"]["f"])
+        assert set(workload_want["q03_dump_creator"]["p"]) == {"sqlservr.exe"}
+        assert len(workload_want["q04_connect_before_transfer"]) == 1
