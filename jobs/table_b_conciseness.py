@@ -14,13 +14,13 @@ _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
 
 def measure_all():
     """Per-query conciseness rows + aggregate ratios for the workload."""
+    from repro.core.analyzer import analyze
     from repro.core.baseline import baseline_sql
-    from repro.core.dependency import analyze_text
     from repro.workload.conciseness import aggregate_ratios, measure
     from repro.workload.queries import QUERIES
 
     rows = [
-        measure(q.name, analyze_text(q.aiql), baseline_sql(q.aiql, "postgres"))
+        measure(q.name, analyze(q.aiql), baseline_sql(q.aiql, "postgres"))
         for q in QUERIES
     ]
     return rows, aggregate_ratios(rows)

@@ -1,6 +1,8 @@
-"""Semantic analysis for parsed AIQL queries.
+"""The AIQL front end: ``analyze(text)`` → :class:`Analysis`.
 
-Binds entity variables to their (event, subject/object) occurrences, derives
+Parses the text (``repro.core.parser``), compiles a ``forward``/``backward``
+dependency query to the equivalent multievent query (paper §2.3), then
+binds entity variables to their (event, subject/object) occurrences, derives
 the implicit attribute relationships from shared variables (paper §2.2.1 —
 "Lines 4-5 specify the same f1 in both events"), validates operations against
 the data model, and lowers every bracket/global filter to predicates over the
@@ -17,15 +19,19 @@ from dataclasses import dataclass, field
 from repro.core.ast import (
     AttrRef,
     BinOp,
-    Comparison,
     EventPattern,
     FuncCall,
     HistRef,
     Literal,
     Query,
+    TemporalConstraint,
     UnaryOp,
 )
-from repro.monitor.schema import etype_for
+from repro.core.parser import parse
+from repro.monitor.schema import EVENT_COLUMNS, etype_for
+
+#: Event-table column → its type (``long``, ``int`` or ``string``).
+_COL_TYPE = dict(EVENT_COLUMNS)
 
 #: Default attribute per entity kind (the paper's return shortcuts:
 #: ``p1 → p1.exe_name, f1 → f1.name, i1 → i1.dst_ip``).
@@ -187,6 +193,10 @@ def _lower_entity_filters(ana: Analysis, ev: EventPattern, ent, role: str) -> li
         else:
             _, col = ana.entity_col(ent.var, attr, occ)
         v = f.value.value
+        if not isinstance(v, str) and _COL_TYPE[col] == "string":
+            raise AIQLSemanticError(
+                f"filter on {ent.var!r}: the number {v!r} cannot match "
+                f"the string attribute {attr!r}")
         op = f.op
         if isinstance(v, str) and "%" in v:
             if op == "=":
@@ -238,13 +248,47 @@ def _walk_having(e, ana: Analysis, ks: set) -> None:
         raise AIQLSemanticError(f"unsupported having node {e!r}")
 
 
-def analyze(q: Query) -> Analysis:
-    """Validate and bind ``q`` (must already be multievent or anomaly —
-    dependency queries are first compiled by ``repro.core.dependency``)."""
+def _compile_path(q: Query) -> None:
+    """Compile a forward/backward dependency query to a multievent query,
+    in place (paper §2.3: "the parser compiles it to a semantically
+    equivalent multievent query").
+
+    A ``forward`` query lists an event path in causal order (left event
+    occurs earlier, §2.2.2), a ``backward`` query in reverse; compilation
+    adds the implied temporal constraint between consecutive events. The
+    chaining itself is expressed by shared entity variables, which become
+    uid joins, so consecutive events must share one: a "path" with a gap
+    is rejected (a silent cross join would not be a dependency track).
+    """
+    if len(q.events) < 2:
+        raise AIQLSemanticError("a dependency query needs at least two events")
+    pairs = list(zip(q.events, q.events[1:]))
+    for e1, e2 in pairs:
+        # "The operation connect indicates that the tracking is across
+        # different hosts" (paper §2.2.2) — a connect hop may bridge two
+        # hosts whose entities cannot share a variable.
+        if "connect" in (e1.op, e2.op):
+            continue
+        if not {e1.subject.var, e1.object.var} & {e2.subject.var, e2.object.var}:
+            raise AIQLSemanticError(
+                f"dependency path breaks between {e1.alias!r} and {e2.alias!r}: "
+                "consecutive events must share an entity variable"
+            )
+    q.temporal += [
+        TemporalConstraint(e1.alias, e2.alias) if q.mode == "forward"
+        else TemporalConstraint(e2.alias, e1.alias)
+        for e1, e2 in pairs
+    ]
+    q.mode = "multievent"
+
+
+def analyze(text: str) -> Analysis:
+    """The whole front end: parse ``text``, compile a dependency query to
+    multievent, then bind and validate. ``Analysis.query`` is the compiled
+    query."""
+    q = parse(text)
     if q.mode in ("forward", "backward"):
-        raise AIQLSemanticError(
-            "dependency query must be compiled to multievent before analysis"
-        )
+        _compile_path(q)
     ana = Analysis(query=q)
 
     # --- events, variables, roles
@@ -309,8 +353,6 @@ def analyze(q: Query) -> Analysis:
                 raise AIQLSemanticError(f"temporal constraint on unknown event {side!r}")
         if tc.left == tc.right:
             raise AIQLSemanticError("temporal constraint relates an event to itself")
-        if tc.rel not in ("before", "after"):
-            raise AIQLSemanticError(f"unknown temporal relation {tc.rel!r}")
 
     # --- mode-specific clauses
     if q.mode == "anomaly":
@@ -378,12 +420,10 @@ def _analyze_anomaly(ana: Analysis) -> None:
         )
     if q.temporal:
         raise AIQLSemanticError("temporal constraints need a multievent query")
-    # Return items: group-key references or aggregate calls.
-    group_refs = []
-    for g in q.group_by:
-        if not isinstance(g, AttrRef):
-            raise AIQLSemanticError("group by items must be variables/attributes")
-        group_refs.append(ana.resolve_ref(g))  # validates
+    if not all(isinstance(g, AttrRef) for g in q.group_by):
+        raise AIQLSemanticError("group by items must be variables/attributes")
+    gcols = group_cols(ana)  # resolves, so validates, every group by item
+    # Return items: aggregate calls, or attributes whose column is grouped.
     agg_i = 0
     for it in q.return_items:
         if isinstance(it.expr, FuncCall):
@@ -395,21 +435,17 @@ def _analyze_anomaly(ana: Analysis) -> None:
             for a in it.expr.args:
                 if not isinstance(a, AttrRef):
                     raise AIQLSemanticError("aggregate arguments must be attributes")
-                ana.resolve_ref(a)
+                _, col, _ = ana.resolve_ref(a)
+                if it.expr.name in ("sum", "avg") and _COL_TYPE[col] == "string":
+                    raise AIQLSemanticError(
+                        f"{it.expr.name}() needs a numeric attribute, "
+                        f"not the string column {col!r}")
             name = it.alias or (it.expr.name if agg_i == 0 else f"{it.expr.name}_{agg_i}")
             agg_i += 1
             ana.agg_aliases[name] = it.expr
         elif isinstance(it.expr, AttrRef):
-            a, c, default_name = ana.resolve_ref(it.expr)
-            keys = {r[:2] for r in group_refs}
-            # A bare variable in `group by` also exposes its uid column;
-            # membership is checked on the resolved (event, column) pair.
-            grouped_vars = {
-                g.attr for g in q.group_by
-                if isinstance(g, AttrRef) and g.var is None and g.attr in ana.etypes
-            }
-            bare_var = it.expr.var is None and it.expr.attr in grouped_vars
-            if (a, c) not in keys and not bare_var:
+            _, c, default_name = ana.resolve_ref(it.expr)
+            if c not in gcols:
                 raise AIQLSemanticError(
                     f"return item {default_name!r} is neither grouped nor aggregated"
                 )
@@ -421,7 +457,7 @@ def _analyze_anomaly(ana: Analysis) -> None:
         raise AIQLSemanticError("anomaly query returns no aggregate")
     # The per-window aggregate holds ``wid``, the group columns and the
     # aggregates under their aliases: one name cannot be two of them.
-    taken = ["wid", *group_cols(ana)]
+    taken = ["wid", *gcols]
     for name in ana.agg_aliases:
         if name.lower() in {c.lower() for c in taken}:
             raise AIQLSemanticError(

@@ -89,9 +89,9 @@ class EventPattern:
 
 @dataclass(frozen=True)
 class TemporalConstraint:
-    """``with a before b`` (optionally ``before[5 min]`` = within 5 min)."""
+    """``with left before right`` (optionally ``before[5 min]`` = within
+    5 min); the parser writes ``a after b`` as ``b before a``."""
     left: str
-    rel: str  # 'before' | 'after'
     right: str
     within_ms: int | None = None
 
@@ -109,8 +109,8 @@ class Query:
     """A parsed AIQL query.
 
     ``mode`` is 'multievent', 'forward', 'backward' (dependency queries —
-    compiled to multievent by ``repro.core.dependency``), or 'anomaly'
-    (implied by a ``window =`` global).
+    compiled to multievent by ``repro.core.analyzer.analyze``), or
+    'anomaly' (implied by a ``window =`` global).
     """
     mode: str = "multievent"
     time_range: tuple[int, int] | None = None  # [lo, hi) epoch ms

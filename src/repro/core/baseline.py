@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.analyzer import analyze
 from repro.core.compiler import sql_over
-from repro.core.dependency import analyze_text
 from repro.core.sqlgen import equivalent_sql
 
 
 def baseline_sql(text: str, dialect: str, table: str = "events") -> str:
-    """The big-SQL equivalent of an AIQL query, in the given dialect."""
-    return equivalent_sql(analyze_text(text), dialect, table)
+    """The big-SQL equivalent of an AIQL query, in the given dialect:
+    the front end (``analyzer.analyze``), then ``sqlgen``."""
+    return equivalent_sql(analyze(text), dialect, table)
 
 
 def run_baseline(spark: SparkSession, text: str, events: DataFrame) -> DataFrame:

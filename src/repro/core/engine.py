@@ -1,7 +1,7 @@
 """The AIQL query engine facade.
 
 ``execute`` runs the full pipeline: the front end
-(``dependency.analyze_text``: parse → dependency compilation → semantic
+(``analyzer.analyze``: parse → dependency compilation → semantic
 analysis) → (multievent: pruning-power scheduling, then the big SQL in
 that schedule over the query's scope | anomaly: sliding window engine).
 ``plan`` exposes the scheduling decision for inspection and tests.
@@ -37,9 +37,8 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import anomaly as anomaly_mod
-from repro.core.analyzer import Analysis
+from repro.core.analyzer import Analysis, analyze
 from repro.core.compiler import join_multievent, project_return
-from repro.core.dependency import analyze_text
 from repro.core.scheduler import build_adjacency, order_patterns
 from repro.monitor.storage import EventStore
 
@@ -71,7 +70,7 @@ class AIQLEngine:
     # ------------------------------------------------------------------
     def analyze(self, text: str) -> Analysis:
         """Front half of the pipeline (no execution)."""
-        return analyze_text(text)
+        return analyze(text)
 
     def _source(self, ana: Analysis, scope_rows: int) -> DataFrame:
         """The events in the query's scope. A scope of at most

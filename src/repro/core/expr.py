@@ -72,10 +72,9 @@ def pattern_sql(preds: list, prefix: str, dialect: str) -> str:
 def temporal_sql(tc) -> str:
     """``with a before b [within d]`` over the alias-qualified ``ts``
     columns."""
-    l, r = (tc.left, tc.right) if tc.rel == "before" else (tc.right, tc.left)
-    cond = f"{l}.ts < {r}.ts"
+    cond = f"{tc.left}.ts < {tc.right}.ts"
     if tc.within_ms is not None:
-        cond += f" AND {r}.ts - {l}.ts <= {tc.within_ms}"
+        cond += f" AND {tc.right}.ts - {tc.left}.ts <= {tc.within_ms}"
     return cond
 
 

@@ -5,7 +5,8 @@ flat token stream; keywords are recognized by the parser (so e.g. ``window``
 can still be used as a variable name where unambiguous).
 
 Token kinds: IDENT, STRING, NUMBER, OP (punctuation), EOF.
-``//`` line comments are skipped — the paper's example queries carry them.
+``//`` line comments outside strings are skipped — the paper's example
+queries carry them; :func:`strip_comments` drops them by the same rule.
 Names and numbers are ASCII, as Spark SQL's unquoted identifiers are:
 ``str.isdigit`` takes ``²``, which ``int`` rejects, and ``str.isalpha``
 takes ``é``, which Spark's parser rejects.
@@ -37,14 +38,14 @@ class AIQLSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # IDENT | STRING | NUMBER | OP | EOF
+    kind: str  # IDENT | STRING | NUMBER | OP | EOF (| COMMENT in _scan)
     value: object
     pos: int
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokenize AIQL source; raises :class:`AIQLSyntaxError` on bad input."""
-    toks: list[Token] = []
+def _scan(text: str):
+    """Yield the tokens of AIQL source, each ``//`` comment as a COMMENT
+    token holding its text up to the line break, then EOF."""
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -53,7 +54,9 @@ def tokenize(text: str) -> list[Token]:
             continue
         if text.startswith("//", i):
             j = text.find("\n", i)
-            i = n if j < 0 else j + 1
+            j = n if j < 0 else j
+            yield Token("COMMENT", text[i:j], i)
+            i = j
             continue
         if c == '"':
             j = i + 1
@@ -67,23 +70,38 @@ def tokenize(text: str) -> list[Token]:
                     j += 1
             if j >= n:
                 raise AIQLSyntaxError("unterminated string", text, i)
-            toks.append(Token("STRING", "".join(buf), i))
+            yield Token("STRING", "".join(buf), i)
             i = j + 1
             continue
         if m := _NUMBER.match(text, i):
-            toks.append(Token("NUMBER", float(m[0]) if m[1] else int(m[0]), i))
+            yield Token("NUMBER", float(m[0]) if m[1] else int(m[0]), i)
             i = m.end()
             continue
         if m := _IDENT.match(text, i):
-            toks.append(Token("IDENT", m[0], i))
+            yield Token("IDENT", m[0], i)
             i = m.end()
             continue
         for p in _PUNCT:
             if text.startswith(p, i):
-                toks.append(Token("OP", p, i))
+                yield Token("OP", p, i)
                 i += len(p)
                 break
         else:
             raise AIQLSyntaxError(f"unexpected character {c!r}", text, i)
-    toks.append(Token("EOF", None, n))
-    return toks
+    yield Token("EOF", None, n)
+
+
+def tokenize(text: str) -> list[Token]:
+    """Tokenize AIQL source; raises :class:`AIQLSyntaxError` on bad input."""
+    return [t for t in _scan(text) if t.kind != "COMMENT"]
+
+
+def strip_comments(text: str) -> str:
+    """``text`` without its ``//`` comments; a ``//`` inside a string is
+    not one."""
+    out, last = [], 0
+    for t in _scan(text):
+        if t.kind == "COMMENT":
+            out.append(text[last:t.pos])
+            last = t.pos + len(t.value)
+    return "".join(out) + text[last:]

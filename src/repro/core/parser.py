@@ -1,12 +1,14 @@
 """Recursive-descent parser for AIQL (grammar in DESIGN.md §3).
 
-``parse(text)`` → :class:`repro.core.ast.Query`. Purely syntactic — name
-binding, role checks, and dependency→multievent compilation happen in
-``repro.core.analyzer`` / ``repro.core.dependency``.
+``parse(text)`` → :class:`repro.core.ast.Query`. Purely syntactic, but for
+one rewrite: ``a after b`` is parsed as ``b before a``. Name binding, role
+checks and dependency→multievent compilation happen in
+``repro.core.analyzer.analyze``, the front end's one entry, which calls
+``parse``.
 """
 from __future__ import annotations
 
-import pandas as pd
+from datetime import datetime, timezone
 
 from repro.core.ast import (
     AttrRef,
@@ -23,10 +25,7 @@ from repro.core.ast import (
     UnaryOp,
 )
 from repro.core.lexer import AIQLSyntaxError, Token, tokenize
-from repro.monitor.schema import DAY_MS
-
-ENTITY_KINDS = ("proc", "file", "ip")
-OPERATIONS = ("start", "execute", "read", "write", "delete", "connect")
+from repro.monitor.schema import DAY_MS, ENTITY_ETYPE, OP_ETYPES
 
 _UNIT_MS = {
     "ms": 1, "sec": 1000, "s": 1000, "second": 1000, "seconds": 1000,
@@ -46,7 +45,8 @@ def parse_time_ms(s: str) -> int:
     )
     for f in fmts:
         try:
-            return int(pd.Timestamp(pd.to_datetime(s, format=f), tz="UTC").timestamp() * 1000)
+            dt = datetime.strptime(s, f).replace(tzinfo=timezone.utc)
+            return int(dt.timestamp()) * 1000
         except ValueError:
             continue
     raise ValueError(f"unrecognized time literal {s!r}")
@@ -86,6 +86,14 @@ class _Parser:
     def err(self, msg: str):
         raise AIQLSyntaxError(msg, self.text, self.peek().pos)
 
+    def comma_list(self, item) -> list:
+        """``item (',' item)*``."""
+        out = [item()]
+        while self.at("OP", ","):
+            self.next()
+            out.append(item())
+        return out
+
     # -- entry ---------------------------------------------------------
     def parse(self) -> Query:
         q = Query(text=self.text)
@@ -95,30 +103,28 @@ class _Parser:
             elif self.at_kw("agentid") and self.at("OP", "=", ahead=1):
                 self.next()
                 self.next()
-                q.agentid = int(self.expect("NUMBER").value)
+                t = self.expect("NUMBER")
+                if not isinstance(t.value, int):
+                    raise AIQLSyntaxError("agentid must be an integer", self.text, t.pos)
+                q.agentid = t.value
             elif self.at_kw("window"):
                 self._window_spec(q)
             elif self.at_kw("forward", "backward"):
                 if q.events:
                     self.err("forward/backward must precede event patterns")
                 q.mode = self.next().value
-            elif self.at_kw(*ENTITY_KINDS):
+            elif self.at_kw(*ENTITY_ETYPE):
                 q.events.append(self._event_decl())
             elif self.at_kw("with"):
                 self.next()
-                q.temporal.extend(self._temporal_chain())
-                while self.at("OP", ","):
-                    self.next()
-                    q.temporal.extend(self._temporal_chain())
+                for chain in self.comma_list(self._temporal_chain):
+                    q.temporal.extend(chain)
             elif self.at_kw("return"):
                 self._return_clause(q)
             elif self.at_kw("group"):
                 self.next()
                 self.expect("IDENT", "by")
-                q.group_by.append(self._expr())
-                while self.at("OP", ","):
-                    self.next()
-                    q.group_by.append(self._expr())
+                q.group_by.extend(self.comma_list(self._expr))
             elif self.at_kw("having"):
                 self.next()
                 q.having = self._expr()
@@ -178,19 +184,14 @@ class _Parser:
 
     # -- event patterns ------------------------------------------------
     def _entity(self) -> EntityPattern:
-        if not self.at_kw(*ENTITY_KINDS):
-            self.err(f"expected an entity type {ENTITY_KINDS}")
+        if not self.at_kw(*ENTITY_ETYPE):
+            self.err(f"expected an entity type {tuple(ENTITY_ETYPE)}")
         etype = self.next().value
         var = self.expect("IDENT").value
         filters: list[Comparison] = []
         if self.at("OP", "["):
             self.next()
-            while True:
-                filters.append(self._filter())
-                if self.at("OP", ","):
-                    self.next()
-                    continue
-                break
+            filters = self.comma_list(self._filter)
             self.expect("OP", "]")
         return EntityPattern(etype, var, tuple(filters))
 
@@ -209,8 +210,8 @@ class _Parser:
 
     def _event_decl(self) -> EventPattern:
         subj = self._entity()
-        if not self.at("IDENT") or self.peek().value not in OPERATIONS:
-            self.err(f"expected an operation {OPERATIONS}")
+        if not self.at_kw(*OP_ETYPES):
+            self.err(f"expected an operation {tuple(OP_ETYPES)}")
         op = self.next().value
         obj = self._entity()
         self.expect("IDENT", "as")
@@ -222,14 +223,15 @@ class _Parser:
         out: list[TemporalConstraint] = []
         left = self.expect("IDENT").value
         while self.at_kw("before", "after"):
-            rel = self.next().value
+            after = self.next().value == "after"
             within = None
             if self.at("OP", "["):
                 self.next()
                 within = self._duration_ms()
                 self.expect("OP", "]")
             right = self.expect("IDENT").value
-            out.append(TemporalConstraint(left, rel, right, within))
+            out.append(TemporalConstraint(right, left, within) if after
+                       else TemporalConstraint(left, right, within))
             left = right
         if not out:
             self.err("expected 'before' or 'after'")
@@ -241,17 +243,15 @@ class _Parser:
         if self.at_kw("distinct"):
             self.next()
             q.distinct = True
-        while True:
-            e = self._expr()
-            alias = None
-            if self.at_kw("as"):
-                self.next()
-                alias = self.expect("IDENT").value
-            q.return_items.append(ReturnItem(e, alias))
-            if self.at("OP", ","):
-                self.next()
-                continue
-            break
+        q.return_items.extend(self.comma_list(self._return_item))
+
+    def _return_item(self) -> ReturnItem:
+        e = self._expr()
+        alias = None
+        if self.at_kw("as"):
+            self.next()
+            alias = self.expect("IDENT").value
+        return ReturnItem(e, alias)
 
     # -- expressions ---------------------------------------------------
     def _expr(self):
@@ -316,12 +316,7 @@ class _Parser:
             name = self.next().value
             if self.at("OP", "("):  # function call
                 self.next()
-                args = []
-                if not self.at("OP", ")"):
-                    args.append(self._expr())
-                    while self.at("OP", ","):
-                        self.next()
-                        args.append(self._expr())
+                args = [] if self.at("OP", ")") else self.comma_list(self._expr)
                 self.expect("OP", ")")
                 return FuncCall(name.lower(), tuple(args))
             if self.at("OP", "["):  # historical aggregate access: amt[1]

@@ -34,15 +34,6 @@ _N_EVENTS_PER_SF = 20_000_000
 #: External attacker host — "XXX.129" in the paper's obfuscated queries.
 ATTACKER_IP = "202.87.66.129"
 
-#: Role of each host in the demo scenario (Figure 2 of the paper).
-HOST_ROLES = {
-    1: "irc-server",
-    2: "intranet-host",
-    3: "privesc-host",
-    4: "domain-controller",
-    5: "database-server",
-}
-
 # Benign executable pool. Attack-only artifacts (sbblv.exe, mimikatz.exe,
 # info_stealer, ...) are deliberately absent so attack predicates are highly
 # selective — the property pruning-power scheduling exploits.

@@ -24,7 +24,7 @@ EVENT_COLUMNS = [
     ("ts", "long"),           # epoch ms (temporal dim)
     ("day", "string"),        # yyyy-mm-dd, derived from ts (partition col)
     ("etype", "string"),      # 'process' | 'file' | 'network'
-    ("op", "string"),         # see OP_ETYPE
+    ("op", "string"),         # see OP_ETYPES
     ("s_uid", "string"),      # subject process instance id
     ("s_name", "string"),     # subject executable name
     ("s_pid", "int"),         # subject os pid
@@ -37,16 +37,19 @@ EVENT_COLUMNS = [
     ("amount", "long"),       # bytes moved (read/write/connect payloads)
 ]
 
-# Operation → object entity type. The operation alone determines which kind
-# of event it is, which is how AIQL event patterns (`proc p write ip i`) are
-# validated and how scans are pruned by `etype`.
-OP_ETYPE = {
-    "start": "process",
-    "execute": "process",
-    "read": None,       # file or network — disambiguated by the object type
-    "write": None,      # file or network
-    "delete": "file",
-    "connect": "network",
+# The AIQL entity kinds and operations, each with the event type(s) it
+# names. An event pattern's operation and object kind together fix its
+# ``etype`` (`proc p write ip i` is a network event), which is how patterns
+# are validated and how scans are pruned by ``etype``; subjects are always
+# ``proc``.
+ENTITY_ETYPE = {"proc": "process", "file": "file", "ip": "network"}
+OP_ETYPES = {
+    "start": ("process",),
+    "execute": ("process",),
+    "read": ("file", "network"),
+    "write": ("file", "network"),
+    "delete": ("file",),
+    "connect": ("network",),
 }
 
 _SPARK_TYPES = {
@@ -87,23 +90,15 @@ def day_labels(lo: int, hi: int) -> list[str]:
 
 
 def etype_for(op: str, object_type: str) -> str:
-    """Resolve the event type for an (operation, object entity type) pair.
+    """Resolve the event type for an (operation, object entity kind) pair.
 
-    ``object_type`` is the AIQL entity keyword: 'proc' | 'file' | 'ip'.
     Raises ``ValueError`` for combinations the data model does not contain
     (e.g. ``proc p start file f``) so malformed queries fail at analysis
     time rather than silently matching nothing.
     """
-    obj_etype = {"proc": "process", "file": "file", "ip": "network"}[object_type]
-    fixed = OP_ETYPE.get(op)
-    if fixed is None and op in ("read", "write"):
-        if obj_etype not in ("file", "network"):
-            raise ValueError(f"operation {op!r} cannot target a {object_type} entity")
-        return obj_etype
-    if fixed is None:
+    if op not in OP_ETYPES:
         raise ValueError(f"unknown operation {op!r}")
-    if fixed != obj_etype:
-        raise ValueError(
-            f"operation {op!r} targets {fixed} objects, not {object_type}"
-        )
-    return fixed
+    etype = ENTITY_ETYPE[object_type]
+    if etype not in OP_ETYPES[op]:
+        raise ValueError(f"operation {op!r} cannot target a {object_type} entity")
+    return etype

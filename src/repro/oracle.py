@@ -1,9 +1,11 @@
 """DuckDB correctness oracle and the one result canonicalizer.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``run_duckdb(sql, **tables)`` runs ``sql`` in DuckDB over ``tables``, and
+``assert_same_rows(got, want)`` asserts two pandas results hold the same
+rows in any order: the tests compare a Spark result
+(``spark_df.toPandas()``) with DuckDB's rows this way. This catches
+wrong results from a rewritten plan or a custom operator — "it ran" is
+not "it is correct".
 
 ``tables`` may be Spark or pandas DataFrames; Spark inputs are
 collected via ``.toPandas()``. Alias every output column identically
@@ -43,7 +45,3 @@ def assert_same_rows(got: pd.DataFrame, want: pd.DataFrame) -> None:
         "— alias every output column identically on both sides"
     )
     pd.testing.assert_frame_equal(_canon(got), _canon(want), check_dtype=False)
-
-
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
-    assert_same_rows(spark_df.toPandas(), run_duckdb(sql, **tables))

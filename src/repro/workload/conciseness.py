@@ -9,8 +9,9 @@ Metrics, computed identically on both texts:
 * **constraints** — number of atomic predicates. For AIQL this is counted
   structurally from the AST (bracket filters + global time/agent/window
   constraints + temporal relations + the comparisons of ``having``); for
-  SQL it is the number of comparison / LIKE operators in the text (every
-  predicate in the synthesized SQL is a single such operator).
+  SQL it is the number of comparison / LIKE operators in the text outside
+  its string literals (every predicate in the synthesized SQL is a single
+  such operator).
 * **words** — whitespace-separated tokens.
 * **chars** — characters excluding all whitespace.
 """
@@ -21,10 +22,13 @@ from dataclasses import dataclass
 
 from repro.core.analyzer import Analysis
 from repro.core.ast import BinOp, Query, UnaryOp
+from repro.core.lexer import strip_comments
 
 _SQL_CMP_RE = re.compile(
     r"<=|>=|<>|!=|(?<![<>!=])=(?!=)|<(?![=>])|>(?!=)|\bLIKE\b"
 )
+#: A string literal of the PostgreSQL/DuckDB text, its quotes doubled.
+_SQL_STRING_RE = re.compile(r"'(?:[^']|'')*'")
 
 
 def aiql_constraints(q: Query) -> int:
@@ -51,9 +55,10 @@ def _comparisons(e) -> int:
 
 
 def sql_constraints(sql: str) -> int:
-    """Predicate count of synthesized SQL = comparison/LIKE operator count
-    (AS aliases and arithmetic carry no comparison operators)."""
-    return len(_SQL_CMP_RE.findall(sql))
+    """Predicate count of synthesized PostgreSQL/DuckDB text = its
+    comparison/LIKE operators outside string literals (AS aliases and
+    arithmetic carry no comparison operators)."""
+    return len(_SQL_CMP_RE.findall(_SQL_STRING_RE.sub("''", sql)))
 
 
 def words(text: str) -> int:
@@ -74,11 +79,6 @@ class Conciseness:
     sql_constraints: int
     sql_words: int
     sql_chars: int
-
-
-def strip_comments(aiql: str) -> str:
-    """Drop ``// ...`` comments — annotation, not query content."""
-    return re.sub(r"//[^\n]*", "", aiql)
 
 
 def measure(name: str, ana: Analysis, sql: str) -> Conciseness:

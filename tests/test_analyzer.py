@@ -1,8 +1,14 @@
 """Semantic-analysis unit tests — binding, roles, predicate lowering."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.analyzer import AIQLSemanticError, OrGroup, Pred
-from repro.core.dependency import analyze_text as ana
+from repro.core.analyzer import analyze as ana
 
 DAY0 = 1523318400000
 
@@ -106,6 +112,11 @@ class TestPredicateLowering:
         for pred in (Pred("o_ip", "=", "1.2.3.4"), Pred("o_port", "=", 80),
                      Pred("o_srcip", "=", "5.6.7.8"), Pred("o_srcport", "=", 9)):
             assert pred in p
+
+    def test_string_against_number_column(self):
+        """A quoted number against a number column runs on every backend."""
+        a = ana('proc p write ip i[dstport="443"] as e1\nreturn p')
+        assert Pred("o_port", "=", "443") in a.pattern_preds["e1"]
 
     def test_per_event_agentid_bracket(self):
         a = ana('proc p[agentid=2] read file f as e1\nreturn p')
@@ -244,3 +255,17 @@ class TestAnomalyValidation:
     def test_group_by_in_multievent_raises(self):
         with pytest.raises(AIQLSemanticError, match="anomaly"):
             ana('proc p read file f as e1\nreturn p\ngroup by p')
+
+
+def test_front_end_loads_no_pandas():
+    """The front end, parser included, reads time literals with the
+    standard library, so importing it loads no pandas."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.core.analyzer; "
+         "print('repro.core.parser' in sys.modules, 'pandas' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]

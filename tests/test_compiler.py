@@ -5,17 +5,14 @@ that text."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.analyzer import OrGroup, Pred, analyze
+from repro.core.analyzer import OrGroup, Pred
+from repro.core.analyzer import analyze as ana
 from repro.core.ast import TemporalConstraint
 from repro.core.compiler import join_multievent, pattern_filter, project_return
 from repro.core.expr import temporal_sql
 from repro.core.parser import parse
 
 DAY0 = 1523318400000
-
-
-def ana(text):
-    return analyze(parse(text))
 
 
 def matches(df, p) -> int:
@@ -73,18 +70,19 @@ def ts_pairs(spark, *pairs):
 
 class TestTemporalCondition:
     def test_before(self, spark):
-        tc = TemporalConstraint("a", "before", "b")
+        tc = TemporalConstraint("a", "b")
         assert ts_pairs(spark, (1, 2), (3, 2)).filter(
             F.expr(temporal_sql(tc))).count() == 1
 
     def test_after_swaps(self, spark):
-        tc = TemporalConstraint("a", "after", "b")
+        [tc] = parse('proc p read file f as a\nproc q read file f as b\n'
+                     'with a after b\nreturn p').temporal
         got = ts_pairs(spark, (1, 2), (3, 2)).filter(
             F.expr(temporal_sql(tc))).select("a.ts").collect()
         assert [r["ts"] for r in got] == [3]
 
     def test_within(self, spark):
-        tc = TemporalConstraint("a", "before", "b", within_ms=1000)
+        tc = TemporalConstraint("a", "b", within_ms=1000)
         got = ts_pairs(spark, (0, 500), (0, 5000)).filter(
             F.expr(temporal_sql(tc))).select("b.ts").collect()
         assert [r["ts"] for r in got] == [500]

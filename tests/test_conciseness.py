@@ -1,8 +1,9 @@
 """Conciseness-metric tests (Table B machinery)."""
 import pytest
 
+from repro.core.analyzer import analyze
 from repro.core.baseline import baseline_sql
-from repro.core.dependency import analyze_text
+from repro.core.lexer import strip_comments
 from repro.core.parser import parse
 from repro.workload.conciseness import (
     aggregate_ratios,
@@ -29,6 +30,17 @@ class TestTextMetrics:
 
     def test_sql_constraints_ignores_aliases(self):
         assert sql_constraints("SELECT a AS b, c AS d FROM t") == 0
+
+    def test_sql_constraints_ignores_string_literals(self):
+        # etype, op and the LIKE: the `=` and `<` in the pattern are text.
+        sql = baseline_sql('proc p["%a=b<c%"] read file f as e\nreturn p',
+                           "postgres")
+        assert sql_constraints(sql) == 3
+
+    def test_comment_marker_inside_string_kept(self):
+        assert strip_comments(
+            'proc p read file f["//srv/share%"] as e // note\nreturn f'
+        ) == 'proc p read file f["//srv/share%"] as e \nreturn f'
 
 
 class TestAiqlConstraints:
@@ -65,7 +77,7 @@ class TestWorkloadRatios:
     @pytest.fixture(scope="class")
     def rows(self):
         return [
-            measure(q.name, analyze_text(q.aiql),
+            measure(q.name, analyze(q.aiql),
                     baseline_sql(q.aiql, "postgres"))
             for q in QUERIES
         ]

@@ -1,10 +1,11 @@
-"""Dependency→multievent compilation tests (paper §2.3)."""
+"""Dependency→multievent compilation tests (paper §2.3): ``analyze`` compiles
+a ``forward``/``backward`` path, and ``Analysis.query`` is the result."""
 import pytest
 
-from repro.core.analyzer import AIQLSemanticError
+from repro.core.analyzer import AIQLSemanticError, analyze
 from repro.core.ast import TemporalConstraint
-from repro.core.dependency import to_multievent
 from repro.core.parser import parse
+from repro.core.sqlgen import equivalent_sql
 
 FWD = ('forward\n'
        'proc p write file f as e1\n'
@@ -13,27 +14,24 @@ FWD = ('forward\n'
        'return p')
 
 
+def compiled(text):
+    return analyze(text).query
+
+
 class TestForward:
     def test_mode_becomes_multievent(self):
-        q = to_multievent(parse(FWD))
-        assert q.mode == "multievent"
+        assert compiled(FWD).mode == "multievent"
 
     def test_implied_temporal_order(self):
-        q = to_multievent(parse(FWD))
-        assert q.temporal == [TemporalConstraint("e1", "before", "e2"),
-                              TemporalConstraint("e2", "before", "e3")]
-
-    def test_original_query_untouched(self):
-        raw = parse(FWD)
-        to_multievent(raw)
-        assert raw.mode == "forward" and raw.temporal == []
+        assert compiled(FWD).temporal == [TemporalConstraint("e1", "e2"),
+                                          TemporalConstraint("e2", "e3")]
 
 
 class TestBackward:
     def test_reversed_temporal(self):
-        q = to_multievent(parse(FWD.replace("forward", "backward")))
-        assert q.temporal == [TemporalConstraint("e2", "before", "e1"),
-                              TemporalConstraint("e3", "before", "e2")]
+        q = compiled(FWD.replace("forward", "backward"))
+        assert q.temporal == [TemporalConstraint("e2", "e1"),
+                              TemporalConstraint("e3", "e2")]
 
 
 class TestChaining:
@@ -43,25 +41,24 @@ class TestChaining:
                'proc q read file g as e2\n'  # shares nothing with e1
                'return p')
         with pytest.raises(AIQLSemanticError, match="path breaks"):
-            to_multievent(parse(bad))
+            analyze(bad)
 
     def test_connect_bridges_hosts(self):
         ok = ('forward\n'
               'proc p connect ip i as e1\n'
               'proc q write file f as e2\n'  # no shared var, but e1 is connect
               'return p')
-        q = to_multievent(parse(ok))
-        assert q.temporal == [TemporalConstraint("e1", "before", "e2")]
+        assert compiled(ok).temporal == [TemporalConstraint("e1", "e2")]
 
     def test_single_event_raises(self):
         with pytest.raises(AIQLSemanticError, match="at least two"):
-            to_multievent(parse('forward\nproc p write file f as e1\nreturn p'))
+            analyze('forward\nproc p write file f as e1\nreturn p')
 
 
 class TestPassthrough:
     def test_multievent_unchanged(self):
-        q = parse('proc p read file f as e1\nreturn p')
-        assert to_multievent(q) is q
+        text = 'proc p read file f as e1\nproc q read file f as e2\nreturn p'
+        assert compiled(text) == parse(text)
 
     def test_existing_temporal_preserved(self):
         src = ('forward\n'
@@ -69,6 +66,25 @@ class TestPassthrough:
                'proc q read file f as e2\n'
                'with e1 before[1 min] e2\n'
                'return p')
-        q = to_multievent(parse(src))
+        q = compiled(src)
         assert len(q.temporal) == 2
         assert q.temporal[0].within_ms == 60_000
+
+
+class TestSameTextAsMultievent:
+    """A dependency query synthesizes the text of the multievent query an
+    analyst would write for it, with the path's order spelled out."""
+    PATH = ('(at "04/10/2018")\nagentid = 5\n'
+            'proc p["%cmd.exe"] start proc q as e1\n'
+            'proc q write file f["%.dmp"] as e2\n'
+            'proc r read file f as e3\n')
+
+    @pytest.mark.parametrize("mode, with_", [
+        ("forward", "with e1 before e2, e2 before e3"),
+        ("backward", "with e2 before e1, e3 before e2"),
+    ], ids=["forward", "backward"])
+    def test_same_sql(self, mode, with_):
+        dep = analyze(f"{mode}\n{self.PATH}return distinct p, q, f, r")
+        hand = analyze(f"{self.PATH}{with_}\nreturn distinct p, q, f, r")
+        for dialect in ("spark", "duckdb", "postgres"):
+            assert equivalent_sql(dep, dialect) == equivalent_sql(hand, dialect)

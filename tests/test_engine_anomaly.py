@@ -161,6 +161,9 @@ class TestOracleAgreement:
         'having amt > (amt[1] + amt[2]) / 2',
         'proc p["procC"] write ip i as e\nreturn p, avg(e.amount) as amt\n'
         'group by p\nhaving amt = amt[3]',
+        # ``group by p`` groups by p's uid too, so ``p.uid`` is grouped.
+        'proc p write ip i as evt\nreturn p.uid, avg(evt.amount) as amt\n'
+        'group by p',
     ])
     def test_engine_matches_duckdb(self, win_engine, win_pdf, body):
         text = q(body)

@@ -7,13 +7,11 @@ import re
 import duckdb
 import pytest
 
-from repro.core.analyzer import AIQLSemanticError
+from repro.core.analyzer import AIQLSemanticError, analyze
 from repro.core.baseline import oracle_sql, run_baseline
 from repro.core.compiler import join_multievent
-from repro.core.dependency import analyze_text
-from repro.core.lexer import AIQLSyntaxError
+from repro.core.lexer import AIQLSyntaxError, strip_comments
 from repro.monitor.schema import EVENT_COLUMNS
-from repro.workload.conciseness import strip_comments
 from repro.workload.queries import QUERIES
 
 
@@ -48,15 +46,26 @@ from repro.workload.queries import QUERIES
     ("proc p read file f as eé\nreturn p", AIQLSyntaxError),
     # an arrow, which no rule of the grammar reads
     ("proc p read file f as e1 -> e2\nreturn p", AIQLSyntaxError),
+    # a sum or average of a string column, which both SQL engines reject
+    ('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+     "proc p write ip i as e\nreturn p, sum(i) as n\ngroup by p", AIQLSemanticError),
+    ('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+     "proc p write ip i as evt\nreturn p, avg(evt.op) as n\ngroup by p",
+     AIQLSemanticError),
+    # a number against a string column, which both SQL engines fail to cast
+    ("proc p[5] read file f as e return p", AIQLSemanticError),
+    # a host id that is not an integer
+    ("agentid = 1.5\nproc p read file f as e\nreturn p", AIQLSyntaxError),
 ], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal",
         "subject-is-object", "aggregate-without-attribute",
         "aggregate-alias-s_name", "aggregate-alias-s_uid", "aggregate-alias-wid",
         "aggregate-aliases-by-case", "output-names-by-case",
         "event-aliases-by-case", "superscript-digit",
-        "non-ascii-name", "arrow"])
+        "non-ascii-name", "arrow", "sum-of-string", "avg-of-string",
+        "number-against-string", "fractional-agentid"])
 def test_error_class(text, cls):
     with pytest.raises(ValueError) as info:
-        analyze_text(text)
+        analyze(text)
     assert type(info.value) is cls
 
 
@@ -91,7 +100,7 @@ def test_mutated_workload_raises_only_aiql_errors():
     accepted = 0
     for text in _mutants(FUZZ_MUTANTS):
         try:
-            analyze_text(text)
+            analyze(text)
             accepted += 1
         except (AIQLSyntaxError, AIQLSemanticError):
             pass
@@ -121,7 +130,7 @@ def test_sql_keyword_names_rejected_or_run(spark, tiny_engine, tiny, tiny_pdf):
             text = (f"proc p read file f as {w}\nproc q write file f as e2\n"
                     f"with {w} before e2\nreturn p as {w}, q")
             try:
-                ana = analyze_text(text)
+                ana = analyze(text)
             except (AIQLSyntaxError, AIQLSemanticError):
                 continue
             for backend, build in (

@@ -150,12 +150,15 @@ class TestTemporal:
     def test_before(self):
         q = parse('proc p read file f as e1\nproc q read file f as e2\n'
                   'with e1 before e2\nreturn p')
-        assert q.temporal == [TemporalConstraint("e1", "before", "e2")]
+        assert q.temporal == [TemporalConstraint("e1", "e2")]
 
     def test_after(self):
+        """``a after b`` is parsed as ``b before a``, within bound kept."""
         q = parse('proc p read file f as e1\nproc q read file f as e2\n'
-                  'with e1 after e2\nreturn p')
-        assert q.temporal == [TemporalConstraint("e1", "after", "e2")]
+                  'proc r read file f as e3\n'
+                  'with e1 after e2 after[5 min] e3\nreturn p')
+        assert q.temporal == [TemporalConstraint("e2", "e1"),
+                              TemporalConstraint("e3", "e2", 300_000)]
 
     def test_within(self):
         q = parse('proc p read file f as e1\nproc q read file f as e2\n'
@@ -172,8 +175,8 @@ class TestTemporal:
         q = parse('proc p read file f as e1\nproc q read file f as e2\n'
                   'proc r read file f as e3\n'
                   'with e1 before e2 before e3\nreturn p')
-        assert q.temporal == [TemporalConstraint("e1", "before", "e2"),
-                              TemporalConstraint("e2", "before", "e3")]
+        assert q.temporal == [TemporalConstraint("e1", "e2"),
+                              TemporalConstraint("e2", "e3")]
 
     def test_bare_with_raises(self):
         with pytest.raises(AIQLSyntaxError, match="before"):

@@ -9,14 +9,14 @@ class TestAdjacency:
         assert adj["a"] == {"b"} and adj["b"] == {"a"} and adj["c"] == set()
 
     def test_from_temporal(self):
-        adj = build_adjacency(["a", "b"], [], [TemporalConstraint("a", "before", "b")])
+        adj = build_adjacency(["a", "b"], [], [TemporalConstraint("a", "b")])
         assert adj["a"] == {"b"}
 
     def test_combined(self):
         adj = build_adjacency(
             ["a", "b", "c"],
             [("b", "o_uid", "c", "o_uid")],
-            [TemporalConstraint("a", "before", "b")],
+            [TemporalConstraint("a", "b")],
         )
         assert adj["b"] == {"a", "c"}
 

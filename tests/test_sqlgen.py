@@ -3,8 +3,8 @@ import hashlib
 
 import pytest
 
+from repro.core.analyzer import analyze
 from repro.core.baseline import baseline_sql, oracle_sql, run_baseline
-from repro.core.dependency import analyze_text
 from repro.core.sqlgen import anomaly_sql, equivalent_sql, multievent_sql
 from repro.oracle import assert_same_rows, run_duckdb
 from repro.workload.queries import QUERIES
@@ -13,7 +13,7 @@ AT = '(at "04/10/2018")\n'
 
 
 def sql_of(text, dialect="duckdb"):
-    return equivalent_sql(analyze_text(text), dialect)
+    return equivalent_sql(analyze(text), dialect)
 
 
 class TestMultieventText:
@@ -61,8 +61,17 @@ class TestMultieventText:
         sql = sql_of(q)
         assert "(e1.s_name LIKE '%a' OR e1.s_name = 'b')" in sql
 
+    def test_after_is_before_reversed(self):
+        """``a after[d] b`` synthesizes the text of ``b before[d] a``."""
+        q = (AT + 'proc p read file f as e1\nproc q read file f as e2\n'
+             'with {}\nreturn p, q')
+        after = analyze(q.format("e1 after[5 min] e2"))
+        before = analyze(q.format("e2 before[5 min] e1"))
+        for dialect in ("spark", "duckdb", "postgres"):
+            assert equivalent_sql(after, dialect) == equivalent_sql(before, dialect)
+
     def test_custom_table_name(self):
-        sql = multievent_sql(analyze_text(self.Q), "spark", table="t")
+        sql = multievent_sql(analyze(self.Q), "spark", table="t")
         assert "t evt1" in sql and "events" not in sql
 
 
@@ -97,7 +106,7 @@ class TestAnomalyText:
         assert "(a.amt > ((2 * ((a.amt + h1.amt) + h2.amt)) / 3))" in sql
 
     def test_history_window_frames(self):
-        sql = anomaly_sql(analyze_text(self.Q), "spark", history="window")
+        sql = anomaly_sql(analyze(self.Q), "spark", history="window")
         assert "LEFT JOIN" not in sql
         assert "RANGE BETWEEN 1 PRECEDING AND 1 PRECEDING" in sql
         assert "RANGE BETWEEN 2 PRECEDING AND 2 PRECEDING" in sql

@@ -7,8 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from pyspark.sql import DataFrameReader, DataFrameWriter
 
+from repro.core.analyzer import analyze
 from repro.core.compiler import pattern_filter
-from repro.core.dependency import analyze_text
 from repro.core.engine import AIQLEngine
 from repro.monitor import storage
 from repro.monitor.generator import as_event_frame
@@ -17,7 +17,7 @@ from repro.workload.queries import QUERIES, query_by_name
 from tests.conftest import DAY0, file_ev
 
 MULTI_PATTERN = [q.name for q in QUERIES
-                 if len(analyze_text(q.aiql).query.events) > 1]
+                 if len(analyze(q.aiql).query.events) > 1]
 
 
 def plan_of(df) -> str:

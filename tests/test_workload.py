@@ -48,8 +48,8 @@ class TestStructure:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_parses_and_analyzes(self, name):
-        from repro.core.dependency import analyze_text
-        ana = analyze_text(query_by_name(name).aiql)
+        from repro.core.analyzer import analyze
+        ana = analyze(query_by_name(name).aiql)
         assert ana.return_names
 
     @pytest.mark.parametrize("name", NAMES)
