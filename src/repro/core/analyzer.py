@@ -5,15 +5,17 @@ dependency query to the equivalent multievent query (paper §2.3), then
 binds entity variables to their (event, subject/object) occurrences, derives
 the implicit attribute relationships from shared variables (paper §2.2.1 —
 "Lines 4-5 specify the same f1 in both events"), validates operations against
-the data model, and lowers every bracket/global filter to predicates over the
-physical event-table columns. The result (:class:`Analysis`) is the single
-source of truth lowered to SQL text once (``expr.py``) and assembled into
-one statement (``sqlgen.py``), which the engine (``compiler.py``,
-``anomaly.py``), the baseline and the correctness oracle all run, so they
-read every predicate alike.
+the data model, and lowers the query to physical event-table columns: every
+bracket/global filter to predicates, every return item, group item and
+aggregate argument to its column. Every name of the text is resolved here,
+once, and nowhere else. The result (:class:`Analysis`) is the lowered query:
+``expr.py`` and ``sqlgen.py`` only format its fields into one statement,
+which the engine (``compiler.py``, ``anomaly.py``), the baseline and the
+correctness oracle all run, so they read every predicate alike.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.core.ast import (
@@ -56,8 +58,7 @@ _ENTITY_COLS = {
 }
 
 #: Event-level attributes reachable as ``<alias>.<attr>`` or in filters.
-EVENT_ATTRS = {"amount": "amount", "ts": "ts", "op": "op",
-               "agentid": "agentid", "eid": "eid"}
+EVENT_ATTRS = ("amount", "ts", "op", "agentid", "eid")
 
 AGG_FUNCS = ("avg", "sum", "count", "min", "max")
 
@@ -117,47 +118,55 @@ class OrGroup:
     preds: tuple  # tuple[Pred, ...]
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    """One appearance of an entity variable inside an event pattern."""
-    alias: str
-    role: str  # 'subject' | 'object'
-
-    @property
-    def uid_col(self) -> str:
-        return "s_uid" if self.role == "subject" else "o_uid"
-
-
 @dataclass
 class Analysis:
-    """Bound and validated query, lowered to physical columns."""
+    """The lowered query: bound, validated, every name a physical column.
+    ``query`` is the compiled query; past the analyzer only its structure
+    is read (events, temporal constraints, windows, ``having``,
+    ``distinct``), never its return or group items."""
     query: Query
-    etypes: dict = field(default_factory=dict)       # var -> entity kind
-    occ: dict = field(default_factory=dict)          # var -> [Occurrence]
     event_etype: dict = field(default_factory=dict)  # alias -> event type
     pattern_preds: dict = field(default_factory=dict)  # alias -> [Pred|OrGroup]
     join_conds: list = field(default_factory=list)   # [(alias1,col1,alias2,col2)]
-    return_names: list = field(default_factory=list)  # output column names
-    agg_aliases: dict = field(default_factory=dict)  # out name -> FuncCall
+    # One (column, output name) per return item: ``e1.o_name`` in a
+    # multievent query; a group column or an aggregate alias in an anomaly
+    # query, both columns of its per-window aggregate.
+    select: list = field(default_factory=list)
+    group_cols: list = field(default_factory=list)   # anomaly grouping columns
+    agg_aliases: dict = field(default_factory=dict)  # out name -> (fn, col or "*")
     hist_ks: list = field(default_factory=list)      # sorted history depths
 
-    # -- resolution helpers (used by compiler and sqlgen) -------------
-    def entity_col(self, var: str, attr: str, occurrence: Occurrence | None = None):
-        """→ (event alias, physical column) for ``var.attr``.
+    @property
+    def return_names(self) -> list[str]:
+        """Output column names, in return-clause order."""
+        return [name for _, name in self.select]
+
+
+@dataclass
+class _Bindings:
+    """What a name in the query can refer to: each entity variable's kind
+    and occurrences, and the event aliases. Only the analyzer reads it."""
+    event_etype: dict                                # alias -> event type
+    etypes: dict = field(default_factory=dict)       # var -> entity kind
+    occ: dict = field(default_factory=dict)          # var -> [(alias, role)]
+
+    def entity_col(self, var: str, attr: str, occurrence: tuple | None = None):
+        """→ (event alias, physical column) for ``var.attr`` at one
+        (event alias, ``subject``/``object``) occurrence of ``var``.
 
         Defaults to the variable's first occurrence — any occurrence is
         equivalent because shared variables are joined on entity uid.
         """
-        o = occurrence or self.occ[var][0]
+        alias, role = occurrence or self.occ[var][0]
         kind = self.etypes[var]
         attr = _ATTR_NORM.get(attr, attr)
-        cols = _ENTITY_COLS[(kind, o.role)]
+        cols = _ENTITY_COLS[(kind, role)]
         if attr not in cols:
             raise AIQLSemanticError(
                 f"attribute {attr!r} is not defined for {kind} {var!r} "
-                f"as {o.role} (have {sorted(cols)})"
+                f"as {role} (have {sorted(cols)})"
             )
-        return o.alias, cols[attr]
+        return alias, cols[attr]
 
     def resolve_ref(self, ref: AttrRef):
         """Resolve a return/group-by reference to (alias, column, out_name)."""
@@ -171,16 +180,35 @@ class Analysis:
             attr = ref.attr
             if attr not in EVENT_ATTRS:
                 raise AIQLSemanticError(f"unknown event attribute {ref.attr!r}")
-            return ref.var, EVENT_ATTRS[attr], f"{ref.var}_{attr}"
+            return ref.var, attr, f"{ref.var}_{attr}"
         if ref.var in self.etypes:
             a, c = self.entity_col(ref.var, ref.attr)
             return a, c, f"{ref.var}_{_ATTR_NORM.get(ref.attr, ref.attr)}"
         raise AIQLSemanticError(f"unknown variable {ref.var!r}")
 
 
-def _lower_entity_filters(ana: Analysis, ev: EventPattern, ent, role: str) -> list:
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _check_compare(v, typ: str, what: str) -> None:
+    """The one rule for a literal ``v`` compared with a column or aggregate
+    of type ``typ``, which both SQL engines cast to ``typ`` (Spark at least
+    to ``bigint``): a number cannot match a string, and a string matches a
+    number only as a signed decimal integer in its range (``int``: 32 bits)."""
+    if typ == "string":
+        if not isinstance(v, str):
+            raise AIQLSemanticError(
+                f"{what}: the number {v!r} cannot match a string")
+    elif isinstance(v, str):
+        bits = 31 if typ == "int" else 63
+        if not (_INT_TEXT.fullmatch(v) and -2**bits <= int(v) < 2**bits):
+            raise AIQLSemanticError(
+                f"{what}: the string {v!r} cannot match a number ({typ})")
+
+
+def _lower_entity_filters(b: _Bindings, ev: EventPattern, ent, role: str) -> list:
     """Bracket filters of one entity occurrence → physical predicates."""
-    occ = Occurrence(ev.alias, role)
+    occ = (ev.alias, role)
     out: list = []
     default_group: list[Pred] = []
     for f in ent.filters:
@@ -188,15 +216,10 @@ def _lower_entity_filters(ana: Analysis, ev: EventPattern, ent, role: str) -> li
             attr = DEFAULT_ATTR[ent.etype]
         else:
             attr = _ATTR_NORM.get(f.attr, f.attr)
-        if attr in EVENT_ATTRS:  # e.g. [agentid=2] inside a bracket
-            col = EVENT_ATTRS[attr]
-        else:
-            _, col = ana.entity_col(ent.var, attr, occ)
+        # An event attribute is its own column: [agentid=2] in a bracket.
+        col = attr if attr in EVENT_ATTRS else b.entity_col(ent.var, attr, occ)[1]
         v = f.value.value
-        if not isinstance(v, str) and _COL_TYPE[col] == "string":
-            raise AIQLSemanticError(
-                f"filter on {ent.var!r}: the number {v!r} cannot match "
-                f"the string attribute {attr!r}")
+        _check_compare(v, _COL_TYPE[col], f"filter {ent.var}.{attr}")
         op = f.op
         if isinstance(v, str) and "%" in v:
             if op == "=":
@@ -216,14 +239,24 @@ def _lower_entity_filters(ana: Analysis, ev: EventPattern, ent, role: str) -> li
     return out
 
 
-def _walk_having(e, ana: Analysis, ks: set) -> None:
+def _agg_type(fn: str, col: str) -> str:
+    """The type of a lowered aggregate: ``min``/``max`` keep their column's."""
+    if fn in ("min", "max"):
+        return _COL_TYPE[col]
+    return "double" if fn == "avg" else "long"
+
+
+def _walk_having(e, ana: Analysis, ks: set) -> str:
+    """Validate a ``having`` node, collect its history depths into ``ks``,
+    and return its type (``bool`` for a truth value)."""
     if isinstance(e, HistRef):
         if e.name not in ana.agg_aliases:
             raise AIQLSemanticError(
                 f"history access {e.name}[{e.k}] must index an aggregate alias"
             )
         ks.add(e.k)
-    elif isinstance(e, AttrRef):
+        return _agg_type(*ana.agg_aliases[e.name])
+    if isinstance(e, AttrRef):
         if e.var is None:
             if e.attr in ana.return_names and e.attr not in ana.agg_aliases:
                 raise AIQLSemanticError(
@@ -231,21 +264,25 @@ def _walk_having(e, ana: Analysis, ks: set) -> None:
                     "in its event pattern")
             if e.attr not in ana.agg_aliases:
                 raise AIQLSemanticError(f"unknown name {e.attr!r} in having")
-        else:
-            raise AIQLSemanticError(
-                "having may only reference aggregate aliases "
-                f"(got {e.var}.{e.attr})"
-            )
-    elif isinstance(e, BinOp):
-        _walk_having(e.left, ana, ks)
-        _walk_having(e.right, ana, ks)
-    elif isinstance(e, UnaryOp):
-        _walk_having(e.operand, ana, ks)
-    elif isinstance(e, (Literal, FuncCall)):
-        if isinstance(e, FuncCall):
-            raise AIQLSemanticError("aggregate calls in having must be aliased in return")
-    else:
-        raise AIQLSemanticError(f"unsupported having node {e!r}")
+            return _agg_type(*ana.agg_aliases[e.attr])
+        raise AIQLSemanticError(
+            "having may only reference aggregate aliases "
+            f"(got {e.var}.{e.attr})"
+        )
+    if isinstance(e, BinOp):
+        types = (_walk_having(e.left, ana, ks), _walk_having(e.right, ana, ks))
+        for side, other in zip((e.left, e.right), reversed(types)):
+            if isinstance(side, Literal) and other != "bool":
+                _check_compare(side.value, other, "having")
+        return "double" if e.op in ("+", "-", "*", "/") else "bool"
+    if isinstance(e, UnaryOp):
+        t = _walk_having(e.operand, ana, ks)
+        return "bool" if e.op == "not" else t
+    if isinstance(e, Literal):
+        return "string" if isinstance(e.value, str) else "long"
+    if isinstance(e, FuncCall):
+        raise AIQLSemanticError("aggregate calls in having must be aliased in return")
+    raise AIQLSemanticError(f"unsupported having node {e!r}")
 
 
 def _compile_path(q: Query) -> None:
@@ -290,15 +327,14 @@ def analyze(text: str) -> Analysis:
     if q.mode in ("forward", "backward"):
         _compile_path(q)
     ana = Analysis(query=q)
+    b = _Bindings(ana.event_etype)
 
     # --- events, variables, roles
     # SQL folds the case of names: ``e`` and ``E`` are one alias there.
-    seen_alias: set[str] = set()
     for ev in q.events:
-        if ev.alias.lower() in seen_alias:
+        if ev.alias.lower() in {a.lower() for a in ana.event_etype}:
             raise AIQLSemanticError(f"duplicate event alias {ev.alias!r}")
         _check_sql_name(ev.alias, "event alias")
-        seen_alias.add(ev.alias.lower())
         if ev.subject.etype != "proc":
             raise AIQLSemanticError(
                 f"event {ev.alias!r}: subjects are processes in the data "
@@ -318,13 +354,11 @@ def analyze(text: str) -> Analysis:
                 raise AIQLSemanticError(
                     f"variable {ent.var!r} collides with an event alias"
                 )
-            if ent.var in ana.etypes and ana.etypes[ent.var] != ent.etype:
+            kind = b.etypes.setdefault(ent.var, ent.etype)
+            if kind != ent.etype:
                 raise AIQLSemanticError(
-                    f"variable {ent.var!r} used as both "
-                    f"{ana.etypes[ent.var]} and {ent.etype}"
-                )
-            ana.etypes.setdefault(ent.var, ent.etype)
-            ana.occ.setdefault(ent.var, []).append(Occurrence(ev.alias, role))
+                    f"variable {ent.var!r} used as both {kind} and {ent.etype}")
+            b.occ.setdefault(ent.var, []).append((ev.alias, role))
 
     # --- per-pattern predicates (entity brackets + globals + structure)
     for ev in q.events:
@@ -337,14 +371,15 @@ def analyze(text: str) -> Analysis:
                       Pred("ts", "<", q.time_range[1])]
         if q.agentid is not None:
             preds.append(Pred("agentid", "=", q.agentid))
-        preds += _lower_entity_filters(ana, ev, ev.subject, "subject")
-        preds += _lower_entity_filters(ana, ev, ev.object, "object")
+        preds += _lower_entity_filters(b, ev, ev.subject, "subject")
+        preds += _lower_entity_filters(b, ev, ev.object, "object")
         ana.pattern_preds[ev.alias] = preds
 
     # --- implicit attribute relationships: shared vars join on entity uid
-    for var, occs in ana.occ.items():
+    for var, occs in b.occ.items():
         for o1, o2 in zip(occs, occs[1:]):
-            ana.join_conds.append((o1.alias, o1.uid_col, o2.alias, o2.uid_col))
+            ana.join_conds.append((*b.entity_col(var, "uid", o1),
+                                   *b.entity_col(var, "uid", o2)))
 
     # --- temporal constraints reference declared aliases
     for tc in q.temporal:
@@ -356,59 +391,49 @@ def analyze(text: str) -> Analysis:
 
     # --- mode-specific clauses
     if q.mode == "anomaly":
-        _analyze_anomaly(ana)
+        _analyze_anomaly(ana, b)
     else:
         if q.window_ms is not None or q.having is not None or q.group_by:
             raise AIQLSemanticError(
                 "window/group by/having require an anomaly query"
             )
-        _analyze_multievent_return(ana)
+        _analyze_multievent_return(ana, b)
     return ana
 
 
-def _add_output_name(ana: Analysis, name: str) -> None:
+def _add_output(ana: Analysis, col: str, name: str) -> None:
     _check_sql_name(name, "output column")
     if name.lower() in {n.lower() for n in ana.return_names}:
         raise AIQLSemanticError(f"duplicate output column {name!r}")
-    ana.return_names.append(name)
+    ana.select.append((col, name))
 
 
-def _analyze_multievent_return(ana: Analysis) -> None:
-    q = ana.query
-    for it in q.return_items:
+def _analyze_multievent_return(ana: Analysis, b: _Bindings) -> None:
+    for it in ana.query.return_items:
         if not isinstance(it.expr, AttrRef):
             raise AIQLSemanticError(
                 "multievent return items must be variables or attributes"
             )
-        _, _, default_name = ana.resolve_ref(it.expr)
-        name = it.alias or default_name
-        _add_output_name(ana, name)
+        a, c, default_name = b.resolve_ref(it.expr)
+        _add_output(ana, f"{a}.{c}", it.alias or default_name)
 
 
-def group_cols(ana: Analysis) -> list[str]:
+def _group_cols(ana: Analysis, b: _Bindings) -> list[str]:
     """Physical grouping columns. A bare entity variable groups by the
     *entity* — its uid — with the default attribute carried alongside for
     projection; an explicit ``var.attr`` groups by that column alone."""
     cols: list[str] = []
-
-    def add(c: str) -> None:
-        if c not in cols:
-            cols.append(c)
-
     for g in ana.query.group_by:
-        if g.var is None and g.attr in ana.etypes:
-            var = g.attr
-            _, uid = ana.entity_col(var, "uid")
-            _, attr = ana.entity_col(var, DEFAULT_ATTR[ana.etypes[var]])
-            add(uid)
-            add(attr)
-        else:
-            _, c, _ = ana.resolve_ref(g)
-            add(c)
+        if not isinstance(g, AttrRef):
+            raise AIQLSemanticError("group by items must be variables/attributes")
+        new = [b.resolve_ref(g)[1]]
+        if g.var is None and g.attr in b.etypes:  # an entity: its uid first
+            new.insert(0, b.entity_col(g.attr, "uid")[1])
+        cols += [c for c in new if c not in cols]
     return cols
 
 
-def _analyze_anomaly(ana: Analysis) -> None:
+def _analyze_anomaly(ana: Analysis, b: _Bindings) -> None:
     q = ana.query
     if len(q.events) != 1:
         raise AIQLSemanticError("an anomaly query has exactly one event pattern")
@@ -420,44 +445,43 @@ def _analyze_anomaly(ana: Analysis) -> None:
         )
     if q.temporal:
         raise AIQLSemanticError("temporal constraints need a multievent query")
-    if not all(isinstance(g, AttrRef) for g in q.group_by):
-        raise AIQLSemanticError("group by items must be variables/attributes")
-    gcols = group_cols(ana)  # resolves, so validates, every group by item
-    # Return items: aggregate calls, or attributes whose column is grouped.
-    agg_i = 0
+    ana.group_cols = _group_cols(ana, b)
+    # Return items: aggregate calls, or attributes whose column is grouped;
+    # both are columns of the per-window aggregate.
     for it in q.return_items:
         if isinstance(it.expr, FuncCall):
-            if it.expr.name not in AGG_FUNCS:
-                raise AIQLSemanticError(f"unknown aggregate {it.expr.name!r}")
-            n_args = len(it.expr.args)
-            if n_args > 1 or (n_args == 0 and it.expr.name != "count"):
-                raise AIQLSemanticError(f"{it.expr.name}() takes one attribute")
-            for a in it.expr.args:
+            fn, args = it.expr.name, it.expr.args
+            if fn not in AGG_FUNCS:
+                raise AIQLSemanticError(f"unknown aggregate {fn!r}")
+            if len(args) > 1 or (not args and fn != "count"):
+                raise AIQLSemanticError(f"{fn}() takes one attribute")
+            arg = "*"
+            for a in args:
                 if not isinstance(a, AttrRef):
                     raise AIQLSemanticError("aggregate arguments must be attributes")
-                _, col, _ = ana.resolve_ref(a)
-                if it.expr.name in ("sum", "avg") and _COL_TYPE[col] == "string":
+                arg = b.resolve_ref(a)[1]
+                if fn in ("sum", "avg") and _COL_TYPE[arg] == "string":
                     raise AIQLSemanticError(
-                        f"{it.expr.name}() needs a numeric attribute, "
-                        f"not the string column {col!r}")
-            name = it.alias or (it.expr.name if agg_i == 0 else f"{it.expr.name}_{agg_i}")
-            agg_i += 1
-            ana.agg_aliases[name] = it.expr
+                        f"{fn}() needs a numeric attribute, "
+                        f"not the string column {arg!r}")
+            n = len(ana.agg_aliases)
+            col = name = it.alias or (f"{fn}_{n}" if n else fn)
+            ana.agg_aliases[col] = (fn, arg)
         elif isinstance(it.expr, AttrRef):
-            _, c, default_name = ana.resolve_ref(it.expr)
-            if c not in gcols:
+            _, col, default_name = b.resolve_ref(it.expr)
+            if col not in ana.group_cols:
                 raise AIQLSemanticError(
                     f"return item {default_name!r} is neither grouped nor aggregated"
                 )
             name = it.alias or default_name
         else:
             raise AIQLSemanticError("unsupported return item in anomaly query")
-        _add_output_name(ana, name)
+        _add_output(ana, col, name)
     if not ana.agg_aliases:
         raise AIQLSemanticError("anomaly query returns no aggregate")
     # The per-window aggregate holds ``wid``, the group columns and the
     # aggregates under their aliases: one name cannot be two of them.
-    taken = ["wid", *gcols]
+    taken = ["wid", *ana.group_cols]
     for name in ana.agg_aliases:
         if name.lower() in {c.lower() for c in taken}:
             raise AIQLSemanticError(

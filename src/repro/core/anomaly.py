@@ -17,12 +17,17 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 
+from repro.core.analyzer import Analysis
+from repro.core.compiler import sql_over
 # ``window_bounds`` and ``group_cols`` are read from this module by the
 # benchmark's per-operation work counts (``aiqlbench/workloads.py``).
-from repro.core.analyzer import Analysis, group_cols  # noqa: F401
-from repro.core.compiler import sql_over
 from repro.core.expr import window_bounds  # noqa: F401
 from repro.core.sqlgen import anomaly_sql
+
+
+def group_cols(ana: Analysis) -> list[str]:
+    """The physical grouping columns, as the analyzer lowered them."""
+    return ana.group_cols
 
 
 def run(events: DataFrame, ana: Analysis) -> DataFrame:

@@ -39,6 +39,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import anomaly as anomaly_mod
 from repro.core.analyzer import Analysis, analyze
 from repro.core.compiler import join_multievent, project_return
+from repro.core.expr import link_sql
 from repro.core.scheduler import build_adjacency, order_patterns
 from repro.monitor.storage import EventStore
 
@@ -92,7 +93,7 @@ class AIQLEngine:
             # A pattern matches at most the scope's events of its kind.
             counts = {ev.alias: per_kind.get((ana.event_etype[ev.alias], ev.op), 0)
                       for ev in ana.query.events}
-            adj = build_adjacency(aliases, ana.join_conds, ana.query.temporal)
+            adj = build_adjacency(aliases, [sides for sides, _ in link_sql(ana)])
             # Most predicates first, then the smallest bound.
             power = {a: (-len(ana.pattern_preds[a]), counts[a]) for a in aliases}
             order = order_patterns(power, adj)

@@ -1,13 +1,14 @@
 """SQL text for the pieces of a lowered AIQL query.
 
-This is the one lowering of an :class:`~repro.core.analyzer.Analysis`:
+This is the one rendering of an :class:`~repro.core.analyzer.Analysis`:
 pattern predicates, the cross-pattern join and temporal conditions,
 ``having`` trees, and an anomaly query's window ids and aggregates, each
-written by exactly one function here. The synthesized big SQL (``sqlgen``)
-assembles them into one statement, which the engine runs too
-(``compiler``, ``anomaly``). So the engine, the Spark baseline and the
-DuckDB oracle cannot disagree on how a predicate reads (the oracle then
-verifies the plans).
+written by exactly one function here. The analyzer has resolved every
+name to its physical column; these functions only format what it lowered.
+The synthesized big SQL (``sqlgen``) assembles them into one statement,
+which the engine runs too (``compiler``, ``anomaly``). So the engine, the
+Spark baseline and the DuckDB oracle cannot disagree on how a predicate
+reads (the oracle then verifies the plans).
 
 AIQL strings are literal except for the ``%`` wildcard. A LIKE pattern
 escapes ``\\`` and ``_`` with ``\\`` (:func:`like_pattern`), the default
@@ -22,8 +23,6 @@ Every renderer takes the dialect explicitly: the spark and DuckDB texts of
 one literal differ, and a default would pick one silently.
 """
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.core.analyzer import Analysis, OrGroup, Pred
 from repro.core.ast import AttrRef, BinOp, HistRef, Literal, UnaryOp
@@ -110,38 +109,29 @@ def window_sql(ana: Analysis, dialect: str) -> tuple[str, str]:
 
 
 def agg_sql(ana: Analysis) -> list[str]:
-    """Each aggregate return item as SQL text, ``FN(col) AS name``."""
-    out = []
-    for name, fc in ana.agg_aliases.items():
-        if not fc.args:
-            out.append(f"COUNT(*) AS {name}")
-        else:
-            _, col, _ = ana.resolve_ref(fc.args[0])
-            out.append(f"{fc.name.upper()}({col}) AS {name}")
-    return out
+    """Each lowered aggregate as SQL text, ``FN(col) AS name``."""
+    return [f"{fn.upper()}({col}) AS {name}"
+            for name, (fn, col) in ana.agg_aliases.items()]
 
 
-def to_sql(
-    e,
-    resolve_name: Callable[[str], str],
-    resolve_hist: Callable[[str, int], str],
-    dialect: str,
-) -> str:
-    """Render a ``having`` expression as SQL text (parenthesized —
-    conciseness metrics count predicates, not parens)."""
+def to_sql(e, hist: str, dialect: str) -> str:
+    """Render a ``having`` expression as SQL text over the per-window
+    aggregate ``a`` (parenthesized — conciseness metrics count predicates,
+    not parens). An aggregate alias ``n`` reads ``a.n``; a history access
+    ``n[k]`` reads ``hist.format(n=n, k=k)``."""
     if isinstance(e, Literal):
         return sql_quote(e.value, dialect)
     if isinstance(e, AttrRef):
         if e.var is not None:
             raise ValueError(f"unresolved attribute {e.var}.{e.attr}")
-        return resolve_name(e.attr)
+        return f"a.{e.attr}"
     if isinstance(e, HistRef):
-        return resolve_hist(e.name, e.k)
+        return hist.format(n=e.name, k=e.k)
     if isinstance(e, UnaryOp):
-        inner = to_sql(e.operand, resolve_name, resolve_hist, dialect)
+        inner = to_sql(e.operand, hist, dialect)
         return f"(NOT {inner})" if e.op == "not" else f"(-{inner})"
     if isinstance(e, BinOp):
-        l = to_sql(e.left, resolve_name, resolve_hist, dialect)
-        r = to_sql(e.right, resolve_name, resolve_hist, dialect)
+        l = to_sql(e.left, hist, dialect)
+        r = to_sql(e.right, hist, dialect)
         return f"({l} {SQL_OPS.get(e.op, e.op)} {r})"
     raise ValueError(f"cannot render expression node {e!r}")

@@ -19,21 +19,15 @@ from __future__ import annotations
 from typing import Any
 
 
-def build_adjacency(
-    aliases: list[str],
-    join_conds: list[tuple],
-    temporal: list,
-) -> dict[str, set[str]]:
-    """Constraint graph over event aliases: an edge means the two patterns
-    are related by a shared variable or a temporal constraint."""
+def build_adjacency(aliases: list[str],
+                    pairs: list[tuple[str, str]]) -> dict[str, set[str]]:
+    """Constraint graph over event aliases: an edge for each pair of
+    patterns a condition relates (``expr.link_sql``: a shared variable or
+    a temporal constraint)."""
     adj: dict[str, set[str]] = {a: set() for a in aliases}
-    for a1, _, a2, _ in join_conds:
-        if a1 != a2:
-            adj[a1].add(a2)
-            adj[a2].add(a1)
-    for tc in temporal:
-        adj[tc.left].add(tc.right)
-        adj[tc.right].add(tc.left)
+    for a1, a2 in pairs:
+        adj[a1].add(a2)
+        adj[a2].add(a1)
     return adj
 
 

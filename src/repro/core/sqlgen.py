@@ -15,9 +15,11 @@ four roles:
   ``compiler.join_multievent``), an anomaly statement with its history
   read from a window frame instead of a self-join (``anomaly.run``).
 
-Every piece of the text — pattern predicates, join and temporal
-conditions, ``having``, window ids and aggregates — is written once, in
-``expr``; this module only assembles it. Multievent SQL is
+Every name in the text was resolved to its column by the analyzer
+(``Analysis.select``, ``group_cols``, ``agg_aliases``), and every piece of
+it — pattern predicates, join and temporal conditions, ``having``, window
+ids and aggregates — is written once, in ``expr``; this module only
+formats those fields and assembles the pieces. Multievent SQL is
 dialect-portable except for literals (``expr.sql_quote``) and the LIKE
 escape clause DuckDB needs; anomaly SQL differs also in the
 array-explosion idiom (Spark ``explode(sequence(...))`` vs
@@ -25,8 +27,7 @@ DuckDB/PostgreSQL ``unnest(generate_series(...))``).
 """
 from __future__ import annotations
 
-from repro.core.analyzer import Analysis, group_cols
-from repro.core.ast import FuncCall
+from repro.core.analyzer import Analysis
 from repro.core.expr import agg_sql, link_sql, pattern_sql, to_sql, window_sql
 
 
@@ -52,11 +53,7 @@ def multievent_sql(ana: Analysis, dialect: str, table: str = "events",
     q = ana.query
     aliases = order or [ev.alias for ev in q.events]
     pos = {a: i for i, a in enumerate(aliases)}
-    sel = []
-    for it, name in zip(q.return_items, ana.return_names):
-        a, c, _ = ana.resolve_ref(it.expr)
-        sel.append(f"{a}.{c} AS {name}")
-
+    sel = ", ".join(f"{col} AS {name}" for col, name in ana.select)
     on: dict[str, list[str]] = {a: [] for a in aliases}
     for sides, cond in link_sql(ana):
         on[max(sides, key=pos.get)].append(cond)
@@ -74,7 +71,7 @@ def multievent_sql(ana: Analysis, dialect: str, table: str = "events",
             if broadcast else "")
     distinct = "DISTINCT " if q.distinct else ""
     return (
-        f"SELECT {hint}{distinct}{', '.join(sel)}\n"
+        f"SELECT {hint}{distinct}{sel}\n"
         + "\n".join(frm)
         + f"\nWHERE {where}"
     )
@@ -86,7 +83,7 @@ def history_sql(ana: Analysis) -> str:
     alias holds a ``[``): the group's ``amt`` in the window frame
     ``[wid - k, wid - k]``, NULL for a key with a NULL column as in the
     equi-join."""
-    gcols = group_cols(ana)
+    gcols = ana.group_cols
     keyed = " AND ".join(f"{c} IS NOT NULL" for c in gcols)
     by = f"PARTITION BY {', '.join(gcols)} " if gcols else ""
     cols = []
@@ -111,7 +108,7 @@ def anomaly_sql(ana: Analysis, dialect: str, table: str = "events",
     alias = q.events[0].alias
     preds = pattern_sql(ana.pattern_preds[alias], "", dialect)
     in_window, window_ids = window_sql(ana, dialect)
-    gcols = group_cols(ana)
+    gcols = ana.group_cols
     gsel = "".join(f"{c}, " for c in gcols)
     base, joins = "agg", []
     if history == "join":
@@ -125,22 +122,10 @@ def anomaly_sql(ana: Analysis, dialect: str, table: str = "events",
         hist = "a.`{n}[{k}]`"
     else:
         raise ValueError(f"unknown history lookup {history!r}")
-    sel = []
-    for it, name in zip(q.return_items, ana.return_names):
-        if isinstance(it.expr, FuncCall):
-            sel.append(f"a.{name} AS {name}")
-        else:
-            _, c, _ = ana.resolve_ref(it.expr)
-            sel.append(f"a.{c} AS {name}")
+    sel = ", ".join(f"a.{col} AS {name}" for col, name in ana.select)
     having = ""
     if q.having is not None:
-        cond = to_sql(
-            q.having,
-            resolve_name=lambda n: f"a.{n}",
-            resolve_hist=lambda n, k: hist.format(n=n, k=k),
-            dialect=dialect,
-        )
-        having = f"\nWHERE {cond}"
+        having = f"\nWHERE {to_sql(q.having, hist, dialect)}"
     distinct = "DISTINCT " if q.distinct else ""
     return (
         f"WITH src AS (\n"
@@ -151,7 +136,7 @@ def anomaly_sql(ana: Analysis, dialect: str, table: str = "events",
         f"  SELECT wid, {gsel}{', '.join(agg_sql(ana))} FROM win\n"
         f"  GROUP BY wid{''.join(', ' + c for c in gcols)}\n"
         f")\n"
-        f"SELECT {distinct}{', '.join(sel)}\n"
+        f"SELECT {distinct}{sel}\n"
         f"FROM {base} a\n" + "\n".join(joins) + having
     )
 

@@ -15,13 +15,17 @@ DAY0 = 1523318400000
 
 class TestBinding:
     def test_occurrences(self):
-        a = ana('proc p start proc q as e1\nproc q read file f as e2\nreturn p')
-        assert [(o.alias, o.role) for o in a.occ["q"]] == [
-            ("e1", "object"), ("e2", "subject")]
+        """``q`` is the object of e1 and the subject of e2: its columns
+        there are ``o_*`` and ``s_*``, and its uid links the two."""
+        a = ana('proc p start proc q as e1\nproc q read file f as e2\n'
+                'return q, q.uid as u')
+        assert a.select == [("e1.o_name", "q"), ("e1.o_uid", "u")]
+        assert a.join_conds == [("e1", "o_uid", "e2", "s_uid")]
 
     def test_etypes(self):
-        a = ana('proc p write ip i as e1\nreturn p')
-        assert a.etypes == {"p": "proc", "i": "ip"}
+        """A bare variable returns its kind's default attribute."""
+        a = ana('proc p write ip i as e1\nreturn p, i')
+        assert a.select == [("e1.s_name", "p"), ("e1.o_ip", "i")]
 
     def test_event_etype_from_object(self):
         a = ana('proc p read file f as e1\nproc p read ip i as e2\nreturn p')
@@ -182,10 +186,22 @@ class TestReturnResolution:
         with pytest.raises(AIQLSemanticError, match="not defined"):
             ana('proc p start proc q as e1\nreturn q.pid')
 
-    def test_resolve_ref_targets(self):
+    def test_select_at_first_occurrence(self):
         a = ana('proc p start proc q as e1\nproc q read file f as e2\nreturn q')
         # q resolves at its first occurrence: object of e1
-        assert a.resolve_ref(a.query.return_items[0].expr) == ("e1", "o_name", "q")
+        assert a.select == [("e1.o_name", "q")]
+
+    def test_anomaly_lowered(self):
+        """Group items, aggregates and return items of an anomaly query,
+        each lowered to a column of the per-window aggregate."""
+        a = ana('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+                'proc p write ip i as e\n'
+                'return p, i.dstport, avg(e.amount) as amt, count()\n'
+                'group by p, i.dst_port')
+        assert a.group_cols == ["s_uid", "s_name", "o_port"]
+        assert a.agg_aliases == {"amt": ("avg", "amount"), "count_1": ("count", "*")}
+        assert a.select == [("s_name", "p"), ("o_port", "i_dst_port"),
+                            ("amt", "amt"), ("count_1", "count_1")]
 
 
 class TestAnomalyValidation:

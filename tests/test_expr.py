@@ -5,20 +5,24 @@ from pyspark.sql import functions as F
 from repro.core.ast import AttrRef, BinOp, HistRef, Literal, UnaryOp
 from repro.core.expr import sql_quote, to_sql
 
-NAME = lambda n: n  # noqa: E731
-HIST = lambda n, k: f"h{k}_{n}"  # noqa: E731
-SNAME = lambda n: f"a.{n}"  # noqa: E731
-SHIST = lambda n, k: f"h{k}.{n}"  # noqa: E731
+# History as the self-join reads it, and as a column of ``a`` (for Spark).
+JOIN_HIST = "h{k}.{n}"
+COL_HIST = "a.h{k}_{n}"
 
 
 def spark_expr(e):
     """The engine's reading of expression e: its spark-dialect text."""
-    return F.expr(to_sql(e, NAME, HIST, dialect="spark"))
+    return F.expr(to_sql(e, COL_HIST, dialect="spark"))
+
+
+def frame(spark, rows, schema=None):
+    """The per-window aggregate ``a`` the text reads its names from."""
+    return spark.createDataFrame(rows, schema).alias("a")
 
 
 def ev(spark, e, **row):
     """Evaluate expression e against a single-row DataFrame."""
-    df = spark.createDataFrame([row])
+    df = frame(spark, [row])
     return df.select(spark_expr(e).alias("v")).collect()[0]["v"]
 
 
@@ -52,27 +56,27 @@ class TestSqlQuote:
 class TestToSql:
     def test_arithmetic(self):
         e = BinOp("+", AttrRef(None, "amt"), Literal(3))
-        assert to_sql(e, SNAME, SHIST, "spark") == "(a.amt + 3)"
+        assert to_sql(e, JOIN_HIST, "spark") == "(a.amt + 3)"
 
     def test_hist_ref(self):
         e = BinOp(">", AttrRef(None, "amt"), HistRef("amt", 2))
-        assert to_sql(e, SNAME, SHIST, "spark") == "(a.amt > h2.amt)"
+        assert to_sql(e, JOIN_HIST, "spark") == "(a.amt > h2.amt)"
 
     def test_ne_spelled_standard(self):
         e = BinOp("!=", AttrRef(None, "x"), Literal(1))
-        assert to_sql(e, SNAME, SHIST, "spark") == "(a.x <> 1)"
+        assert to_sql(e, JOIN_HIST, "spark") == "(a.x <> 1)"
 
     def test_and_or_upper(self):
         e = BinOp("or", BinOp("and", Literal(1), Literal(2)), Literal(3))
-        assert to_sql(e, SNAME, SHIST, "spark") == "((1 AND 2) OR 3)"
+        assert to_sql(e, JOIN_HIST, "spark") == "((1 AND 2) OR 3)"
 
     def test_not(self):
         e = UnaryOp("not", AttrRef(None, "x"))
-        assert to_sql(e, SNAME, SHIST, "spark") == "(NOT a.x)"
+        assert to_sql(e, JOIN_HIST, "spark") == "(NOT a.x)"
 
     def test_neg(self):
         e = UnaryOp("-", Literal(5))
-        assert to_sql(e, SNAME, SHIST, "spark") == "(-5)"
+        assert to_sql(e, JOIN_HIST, "spark") == "(-5)"
 
     def test_paper_having(self):
         # amt > 2 * (amt + amt[1] + amt[2]) / 3
@@ -82,17 +86,17 @@ class TestToSql:
                                                     HistRef("amt", 1)),
                                          HistRef("amt", 2))),
                         Literal(3)))
-        assert to_sql(e, SNAME, SHIST, "spark") == \
+        assert to_sql(e, JOIN_HIST, "spark") == \
             "(a.amt > ((2 * ((a.amt + h1.amt) + h2.amt)) / 3))"
 
     def test_literal_quoted_for_dialect(self):
         e = BinOp("=", AttrRef(None, "x"), Literal(r"c:\t"))
-        assert to_sql(e, SNAME, SHIST, dialect="spark") == r"(a.x = 'c:\\t')"
-        assert to_sql(e, SNAME, SHIST, dialect="duckdb") == r"(a.x = 'c:\t')"
+        assert to_sql(e, JOIN_HIST, dialect="spark") == r"(a.x = 'c:\\t')"
+        assert to_sql(e, JOIN_HIST, dialect="duckdb") == r"(a.x = 'c:\t')"
 
     def test_unresolved_attr_raises(self):
         with pytest.raises(ValueError, match="unresolved"):
-            to_sql(AttrRef("p", "x"), SNAME, SHIST, "spark")
+            to_sql(AttrRef("p", "x"), JOIN_HIST, "spark")
 
 
 class TestToColumn:
@@ -124,13 +128,13 @@ class TestToColumn:
 
     def test_hist_resolution(self, spark):
         e = BinOp(">", AttrRef(None, "x"), HistRef("x", 1))
-        df = spark.createDataFrame([{"x": 5, "h1_x": 3}])
+        df = frame(spark, [{"x": 5, "h1_x": 3}])
         got = df.select(spark_expr(e).alias("v")).collect()[0]["v"]
         assert got is True
 
     def test_null_comparison_is_null(self, spark):
         """NULL history → NULL comparison → filter drops the row (the
         documented amt[k] semantics)."""
-        df = spark.createDataFrame([(5, None)], "x int, h1_x int")
+        df = frame(spark, [(5, None)], "x int, h1_x int")
         e = BinOp(">", AttrRef(None, "x"), HistRef("x", 1))
         assert df.filter(spark_expr(e)).count() == 0

@@ -13,6 +13,7 @@ from repro.core.compiler import join_multievent
 from repro.core.lexer import AIQLSyntaxError, strip_comments
 from repro.monitor.schema import EVENT_COLUMNS
 from repro.workload.queries import QUERIES
+from tests.conftest import assert_agree, reference
 
 
 @pytest.mark.parametrize("text, cls", [
@@ -56,17 +57,50 @@ from repro.workload.queries import QUERIES
     ("proc p[5] read file f as e return p", AIQLSemanticError),
     # a host id that is not an integer
     ("agentid = 1.5\nproc p read file f as e\nreturn p", AIQLSyntaxError),
+    # a string that is no integer against a number column or a numeric
+    # aggregate, which both SQL engines fail to cast (a wildcard makes a
+    # LIKE, which DuckDB cannot bind on a number)
+    ('proc p[pid="abc"] read file f as e return p', AIQLSemanticError),
+    ('proc p read file f[agentid="x"] as e return f', AIQLSemanticError),
+    ('proc p[pid="10%"] read file f as e return p', AIQLSemanticError),
+    # an integer out of the 32-bit column's range, which DuckDB fails to cast
+    ('proc p[pid="2147483648"] read file f as e return p', AIQLSemanticError),
+    ('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+     'proc p write ip i as e\nreturn p, avg(e.amount) as amt\ngroup by p\n'
+     'having amt > "abc"', AIQLSemanticError),
+    ('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+     'proc p write ip i as e\nreturn p, count() as n\ngroup by p\n'
+     'having n = "x"', AIQLSemanticError),
 ], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal",
         "subject-is-object", "aggregate-without-attribute",
         "aggregate-alias-s_name", "aggregate-alias-s_uid", "aggregate-alias-wid",
         "aggregate-aliases-by-case", "output-names-by-case",
         "event-aliases-by-case", "superscript-digit",
         "non-ascii-name", "arrow", "sum-of-string", "avg-of-string",
-        "number-against-string", "fractional-agentid"])
+        "number-against-string", "fractional-agentid",
+        "word-against-pid", "word-against-agentid", "wildcard-against-pid",
+        "out-of-range-against-pid",
+        "word-against-avg", "word-against-count"])
 def test_error_class(text, cls):
     with pytest.raises(ValueError) as info:
         analyze(text)
     assert type(info.value) is cls
+
+
+@pytest.mark.parametrize("text", [
+    'proc p connect ip i[dstport="443"] as e\nreturn p, i',
+    'proc p read file f[agentid="+1"] as e\nreturn p, f',
+    '(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+    'proc p write ip i as e\nreturn p, count() as n\ngroup by p\n'
+    'having n >= "1"',
+], ids=["integer-string-against-port", "signed-against-agentid",
+        "integer-string-against-count"])
+def test_integer_string_against_number_runs(tiny_engine, tiny_pdf, text):
+    """A string that spells an integer, against a number column or a
+    numeric aggregate, is accepted, and every backend reads it alike."""
+    want = reference(text, tiny_pdf)
+    assert len(want)
+    assert_agree(tiny_engine, text, want)
 
 
 # ----------------------------------------------------------------- fuzzing

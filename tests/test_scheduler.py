@@ -1,23 +1,30 @@
 """Pruning-power scheduler unit tests (paper §2.3 insight 1)."""
-from repro.core.ast import TemporalConstraint
+from repro.core.analyzer import analyze
+from repro.core.expr import link_sql
 from repro.core.scheduler import build_adjacency, order_patterns
+
+
+def adjacency(text):
+    """The constraint graph of a query, over the pairs ``link_sql`` lists."""
+    ana = analyze(text)
+    return build_adjacency([ev.alias for ev in ana.query.events],
+                           [sides for sides, _ in link_sql(ana)])
 
 
 class TestAdjacency:
     def test_from_join_conds(self):
-        adj = build_adjacency(["a", "b", "c"], [("a", "o_uid", "b", "s_uid")], [])
+        adj = adjacency("proc p start proc q as a\nproc q read file f as b\n"
+                        "proc r read file g as c\nreturn p")
         assert adj["a"] == {"b"} and adj["b"] == {"a"} and adj["c"] == set()
 
     def test_from_temporal(self):
-        adj = build_adjacency(["a", "b"], [], [TemporalConstraint("a", "b")])
+        adj = adjacency("proc p read file f as a\nproc q read file g as b\n"
+                        "with a before b\nreturn p")
         assert adj["a"] == {"b"}
 
     def test_combined(self):
-        adj = build_adjacency(
-            ["a", "b", "c"],
-            [("b", "o_uid", "c", "o_uid")],
-            [TemporalConstraint("a", "b")],
-        )
+        adj = adjacency("proc p read file f as a\nproc q read file g as b\n"
+                        "proc r write file g as c\nwith a before b\nreturn p")
         assert adj["b"] == {"a", "c"}
 
 

@@ -148,3 +148,37 @@ def test_synthesized_sql_is_pinned():
                    for d in ("spark", "duckdb", "postgres"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "da37b0b6e50612e7622809ee2bb366cff3dcf77a4275d8f542725128e275f816")
+
+
+
+def engine_sql(ana):
+    """The text the engine hands Spark: the anomaly statement with its
+    history read from a window frame, or the multievent statement in a
+    schedule (reversed declaration order, every joined side broadcast)."""
+    if ana.query.mode == "anomaly":
+        return anomaly_sql(ana, "spark", history="window")
+    order = [ev.alias for ev in reversed(ana.query.events)]
+    return multievent_sql(ana, "spark", order=order, broadcast=set(order[1:]))
+
+
+def test_engine_sql_is_pinned():
+    """The texts the engine hands Spark, for every workload query, are
+    exactly the texts Table A was measured on."""
+    text = "".join(engine_sql(analyze(q.aiql)) for q in QUERIES)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "c9281eb6d450a8e8e17cbe155450271ce80bc690e33999296fae1d9b3bcc6d26")
+
+
+def test_back_end_reads_only_lowered_fields():
+    """The SQL texts read the return and group items only as the analyzer
+    lowered them: with both emptied from the query, every workload text
+    the baseline, the oracle and the engine run is unchanged."""
+    def texts(ana):
+        return [equivalent_sql(ana, d) for d in ("spark", "duckdb", "postgres")
+                ] + [engine_sql(ana)]
+    for q in QUERIES:
+        ana = analyze(q.aiql)
+        want = texts(ana)
+        ana.query.return_items.clear()
+        ana.query.group_by.clear()
+        assert texts(ana) == want, q.name
