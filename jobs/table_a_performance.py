@@ -2,7 +2,10 @@
 (reproduces the paper's Figure 4 + the "3.6 min vs 77 min, 21x" headline).
 
 Runs the 20-query investigation workload both ways over the same dataset
-and prints per-query wall time, log10 values, totals, and the speedup.
+and prints per-query wall time, log10 values, totals, and the speedup; and
+for each query whether the engine ran it interpreted (its scope holds at
+most ``engine.INTERPRET_ROWS`` events) and how many Java classes each side
+compiled with Janino while it ran.
 
 Usage: python jobs/table_a_performance.py [--sf 0.1] [--store DIR] [--runs 1]
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import os as _os, sys as _sys
 _ROOT = _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__)))
 _sys.path[:0] = [_ROOT, _os.path.join(_ROOT, "src")]
-from repro.session import get_spark
+from repro.session import get_spark, janino_compiles
 
 
 @dataclass
@@ -27,6 +30,9 @@ class Row:
     kind: str
     aiql_s: float
     sql_s: float
+    interpreted: bool = False   # the engine ran it without code generation
+    aiql_compiles: int = 0      # Janino compiles while the engine side ran
+    sql_compiles: int = 0       # ... while the baseline side ran
 
     @property
     def speedup(self) -> float:
@@ -57,31 +63,42 @@ def measure(spark, store, runs: int = 1, queries=None) -> list[Row]:
     flat = store.events_flat()
     rows = []
     for q in queries:
+        c0 = janino_compiles(spark)
         a = _time(lambda: engine.execute(q.aiql).count(), runs)
+        c1 = janino_compiles(spark)
         b = _time(lambda: run_baseline(spark, q.aiql, flat).count(), runs)
-        rows.append(Row(q.name, q.kind, a, b))
+        c2 = janino_compiles(spark)
+        # ``execute`` is lazy: this plans the query again and runs nothing.
+        interpreted = engine.execute(q.aiql).sparkSession is engine.interpreting
+        rows.append(Row(q.name, q.kind, a, b, interpreted, c1 - c0, c2 - c1))
     return rows
 
 
 def render(rows: list[Row], n_events: int) -> str:
     """Format the table (paper-vs-measured narrative lives in
-    EXPERIMENTS.md)."""
+    EXPERIMENTS.md). ``interp`` marks a query the engine ran interpreted;
+    ``jit`` columns count Janino compiles per side."""
     out = [
         f"Table A — workload of {len(rows)} queries over {n_events:,} events",
         f"{'query':<28}{'kind':<12}{'AIQL(s)':>9}{'SQL(s)':>9}"
-        f"{'log10 AIQL':>12}{'log10 SQL':>11}{'speedup':>9}",
+        f"{'log10 AIQL':>12}{'log10 SQL':>11}{'speedup':>9}"
+        f"{'interp':>8}{'jit AIQL':>10}{'jit SQL':>9}",
     ]
     for r in rows:
         out.append(
             f"{r.name:<28}{r.kind:<12}{r.aiql_s:>9.3f}{r.sql_s:>9.3f}"
             f"{math.log10(r.aiql_s):>12.2f}{math.log10(r.sql_s):>11.2f}"
-            f"{r.speedup:>8.1f}x"
+            f"{r.speedup:>8.1f}x{'yes' if r.interpreted else 'no':>8}"
+            f"{r.aiql_compiles:>10}{r.sql_compiles:>9}"
         )
     ta = sum(r.aiql_s for r in rows)
     tb = sum(r.sql_s for r in rows)
     out.append(
         f"{'TOTAL':<28}{'':<12}{ta:>9.1f}{tb:>9.1f}"
         f"{math.log10(ta):>12.2f}{math.log10(tb):>11.2f}{tb / ta:>8.1f}x"
+        f"{sum(r.interpreted for r in rows):>8}"
+        f"{sum(r.aiql_compiles for r in rows):>10}"
+        f"{sum(r.sql_compiles for r in rows):>9}"
     )
     out.append("paper: AIQL 3.6 min vs PostgreSQL 77 min => 21x speedup")
     return "\n".join(out)

@@ -246,6 +246,17 @@ def _agg_type(fn: str, col: str) -> str:
     return "double" if fn == "avg" else "long"
 
 
+def _check_operands(types, op: str) -> None:
+    """In ``having``, the operands of ``and``/``or``/``not`` are truth
+    values and those of arithmetic and comparisons are not: DuckDB would
+    cast between the two, Spark rejects the mix."""
+    logical = op in ("and", "or", "not")
+    if any((t == "bool") != logical for t in types):
+        raise AIQLSemanticError(
+            f"having: {op!r} needs truth values (comparisons), not numbers or strings"
+            if logical else f"having: a truth value cannot be an operand of {op!r}")
+
+
 def _walk_having(e, ana: Analysis, ks: set) -> str:
     """Validate a ``having`` node, collect its history depths into ``ks``,
     and return its type (``bool`` for a truth value)."""
@@ -271,12 +282,16 @@ def _walk_having(e, ana: Analysis, ks: set) -> str:
         )
     if isinstance(e, BinOp):
         types = (_walk_having(e.left, ana, ks), _walk_having(e.right, ana, ks))
+        _check_operands(types, e.op)
+        if e.op in ("and", "or"):
+            return "bool"
         for side, other in zip((e.left, e.right), reversed(types)):
-            if isinstance(side, Literal) and other != "bool":
+            if isinstance(side, Literal):
                 _check_compare(side.value, other, "having")
         return "double" if e.op in ("+", "-", "*", "/") else "bool"
     if isinstance(e, UnaryOp):
         t = _walk_having(e.operand, ana, ks)
+        _check_operands([t], e.op)
         return "bool" if e.op == "not" else t
     if isinstance(e, Literal):
         return "string" if isinstance(e.value, str) else "long"
@@ -489,5 +504,7 @@ def _analyze_anomaly(ana: Analysis, b: _Bindings) -> None:
                 f"aggregate ({', '.join(taken)})")
     if q.having is not None:
         ks: set = set()
-        _walk_having(q.having, ana, ks)
+        if _walk_having(q.having, ana, ks) != "bool":
+            raise AIQLSemanticError(
+                "having needs a truth value (a comparison), not a number or string")
         ana.hist_ks = sorted(ks)

@@ -15,7 +15,7 @@ history window run without a shuffle.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.analyzer import Analysis
 from repro.core.compiler import sql_over
@@ -30,8 +30,8 @@ def group_cols(ana: Analysis) -> list[str]:
     return ana.group_cols
 
 
-def run(events: DataFrame, ana: Analysis) -> DataFrame:
-    """Execute the analyzed anomaly query over the (possibly store-pruned)
-    event DataFrame."""
-    return sql_over(events.sparkSession, events,
+def run(spark: SparkSession, events: DataFrame, ana: Analysis) -> DataFrame:
+    """Execute the analyzed anomaly query in ``spark`` over the (possibly
+    store-pruned) event DataFrame."""
+    return sql_over(spark, events,
                     lambda view: anomaly_sql(ana, "spark", view, history="window"))

@@ -29,25 +29,32 @@ def pattern_filter(preds: list) -> Column:
 
 def sql_over(spark: SparkSession, events: DataFrame,
              render: Callable[[str], str]) -> DataFrame:
-    """Run the SQL text ``render(view)`` over ``events``, registered as a
-    temp view under a name unique to this call and dropped before the
-    return: classic Spark analyzes ``spark.sql`` eagerly, so the result no
-    longer needs the view. (``spark.sql(text, src=events)`` would format
-    the text and read ``{``/``}`` in string literals as fields.)"""
-    view = f"aiql_{uuid.uuid4().hex}"
-    events.createTempView(view)
+    """Run the SQL text ``render(view)`` in ``spark`` over ``events``.
+
+    ``events`` may belong to another session: the store opens its layouts
+    in the caller's session, and the engine runs a small scope in a child
+    session of it that generates no code (see ``engine``). So ``view`` is a
+    global temp view (``spark.sql.globalTempDatabase``), which every
+    session of the application sees, under a name unique to this call; it
+    is dropped before the return, since classic Spark analyzes
+    ``spark.sql`` eagerly and the result no longer needs it.
+    (``spark.sql(text, src=events)`` would format the text and read
+    ``{``/``}`` in string literals as fields.)"""
+    name = f"aiql_{uuid.uuid4().hex}"
+    events.createGlobalTempView(name)
     try:
-        return spark.sql(render(view))
+        db = spark.conf.get("spark.sql.globalTempDatabase")
+        return spark.sql(render(f"{db}.{name}"))
     finally:
-        spark.catalog.dropTempView(view)
+        spark.catalog.dropGlobalTempView(name)
 
 
-def join_multievent(src: DataFrame, ana: Analysis, order: list[str],
-                    broadcast: set[str] = frozenset()) -> DataFrame:
-    """The query's result: its big SQL over ``src``, joined in ``order``,
-    broadcasting ``broadcast``, projected to the return clause and
-    deduplicated if ``distinct``."""
-    return sql_over(src.sparkSession, src,
+def join_multievent(spark: SparkSession, src: DataFrame, ana: Analysis,
+                    order: list[str], broadcast: set[str] = frozenset()) -> DataFrame:
+    """The query's result, run in ``spark``: its big SQL over ``src``,
+    joined in ``order``, broadcasting ``broadcast``, projected to the
+    return clause and deduplicated if ``distinct``."""
+    return sql_over(spark, src,
                     lambda view: multievent_sql(ana, "spark", view, order, broadcast))
 
 

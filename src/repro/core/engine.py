@@ -26,6 +26,23 @@ window run in the scan's task instead of shuffling into
 ``spark.sql.shuffle.partitions`` tasks, and a single-pattern or anomaly
 query is one Spark job. Larger scopes keep the partitioned plan.
 
+A scope of at most ``INTERPRET_ROWS`` events also runs interpreted: in a
+child session of the caller's (``spark.newSession()``, the caller's SQL
+settings) with whole-stage code generation off and every expression
+evaluated by Spark's interpreted fallback (``factoryMode=NO_CODEGEN``), so
+it compiles no Java (after Kohn, Leis & Neumann, "Adaptive Execution of
+Compiled Queries", ICDE 2018: compile only where it pays). Compiling is
+what such a query would wait on: Spark's codegen cache holds 100 classes
+(``spark.sql.codegen.cache.maxEntries``, a static conf only the session's
+creator can set) keyed by class loader, and each whole-stage body is
+compiled twice, once to validate the generated code in
+``WholeStageCodegenExec.doExecute`` and once for the executor task, so one
+pass of the 20 Table A queries needs about 106 entries and recompiles 77–95
+classes every pass at SF 0.002 (0 interpreted). Larger scopes, whose scans
+and joins repay compiling, run in the caller's session exactly as before; the SQL text,
+join order, broadcasts and ``coalesce`` are the same either way, and the
+caller's settings are never changed.
+
 The engine reads the partitioned store: the query's global time window and
 agent id prune Parquet partitions before any pattern scan runs (paper §2.3
 insight 2); only the store reads them as partitions.
@@ -49,6 +66,18 @@ from repro.monitor.storage import EventStore
 #: scope is this small is read as one partition.
 BROADCAST_ROWS = 500_000
 
+#: A query whose scope holds at most this many events runs interpreted. On
+#: 4 vCPUs, interpreting the benchmark's 4k-event host-day scopes cut a warm
+#: pass of the workload by 21% (its 73–95 Janino compiles went to 0), while
+#: interpreting SF 0.1's 200k-event host scopes made each multievent query
+#: 110–490 ms slower (``BENCH_interpreted_scopes.json``), so SF 0.1 and
+#: above stay compiled.
+INTERPRET_ROWS = 20_000
+
+#: What the interpreting session changes from the caller's SQL settings.
+INTERPRETED_CONF = {"spark.sql.codegen.wholeStage": "false",
+                    "spark.sql.codegen.factoryMode": "NO_CODEGEN"}
+
 
 @dataclass
 class MultieventPlan:
@@ -59,6 +88,7 @@ class MultieventPlan:
     broadcast: set = field(default_factory=set)     # aliases broadcast
     scope_rows: int = 0           # events in the query's agent and days
     one_partition: bool = False   # scope_rows <= BROADCAST_ROWS
+    interpreted: bool = False     # scope_rows <= INTERPRET_ROWS
 
 
 class AIQLEngine:
@@ -67,6 +97,12 @@ class AIQLEngine:
     def __init__(self, spark: SparkSession, store: EventStore):
         self.spark = spark
         self.store = store
+        # The session small scopes run in: the caller's SQL settings as they
+        # are now, without code generation.
+        self.interpreting = spark.newSession()
+        caller = {k: v for k, v in spark.conf.getAll.items() if spark.conf.isModifiable(k)}
+        for key, value in {**caller, **INTERPRETED_CONF}.items():
+            self.interpreting.conf.set(key, value)
 
     # ------------------------------------------------------------------
     def analyze(self, text: str) -> Analysis:
@@ -82,6 +118,10 @@ class AIQLEngine:
         q = ana.query
         src = self.store.events_partitioned(q.time_range, q.agentid)
         return src.coalesce(1) if scope_rows <= BROADCAST_ROWS else src
+
+    def _session(self, scope_rows: int) -> SparkSession:
+        """The session a query over ``scope_rows`` events runs in."""
+        return self.interpreting if scope_rows <= INTERPRET_ROWS else self.spark
 
     def _plan_multievent(self, ana: Analysis) -> MultieventPlan:
         per_kind = self.store.scope_counts(ana.query.time_range, ana.query.agentid)
@@ -101,11 +141,12 @@ class AIQLEngine:
             # side the join pipeline streams from.
             bc = {a for a in order[1:] if counts[a] <= BROADCAST_ROWS}
         return MultieventPlan(ana, counts, order, bc, scope_rows,
-                              scope_rows <= BROADCAST_ROWS)
+                              scope_rows <= BROADCAST_ROWS,
+                              scope_rows <= INTERPRET_ROWS)
 
     def plan(self, text: str) -> MultieventPlan:
         """Bound per-pattern rows, pick the join order and decide whether
-        the scope is one partition (no Spark job)."""
+        the scope is one partition and runs interpreted (no Spark job)."""
         ana = self.analyze(text)
         if ana.query.mode != "multievent":
             raise ValueError("plan() applies to multievent queries")
@@ -118,8 +159,10 @@ class AIQLEngine:
         ana = self.analyze(text)
         if ana.query.mode == "anomaly":
             scope = self.store.scope_counts(ana.query.time_range, ana.query.agentid)
-            return anomaly_mod.run(self._source(ana, sum(scope.values())), ana)
+            rows = sum(scope.values())
+            return anomaly_mod.run(self._session(rows), self._source(ana, rows), ana)
         plan = self._plan_multievent(ana)
-        joined = join_multievent(self._source(ana, plan.scope_rows), ana,
+        joined = join_multievent(self._session(plan.scope_rows),
+                                 self._source(ana, plan.scope_rows), ana,
                                  plan.order, plan.broadcast)
         return project_return(joined, ana)

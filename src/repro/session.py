@@ -46,3 +46,11 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
+
+
+def janino_compiles(spark: SparkSession) -> int:
+    """Java classes Spark's code generator has compiled with Janino in this
+    JVM so far (the sample count of ``CodegenMetrics``' compile-time
+    histogram); a cached class is not compiled again."""
+    metrics = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
+    return metrics.METRIC_COMPILATION_TIME().getCount()

@@ -56,17 +56,19 @@ def executed_plan(df) -> str:
 
 @contextmanager
 def partitioned(engine):
-    """``engine.BROADCAST_ROWS`` below the events of every (agentid, day)
-    that has any, so ``engine`` reads every non-empty scope partitioned
-    (the plan of a scope too large for one partition): no ``coalesce``,
-    and shuffle joins beside broadcast ones."""
+    """``engine.BROADCAST_ROWS`` and ``engine.INTERPRET_ROWS`` below the
+    events of every (agentid, day) that has any, so ``engine`` reads every
+    non-empty scope partitioned and compiled (the plan of a scope too large
+    for one partition): no ``coalesce``, shuffle joins beside broadcast
+    ones, and whole-stage code generation."""
     store = engine.store
 
     def scope_rows(agentid, day):
         t = int(pd.Timestamp(day, tz="UTC").timestamp() * 1000)
         return sum(store.scope_counts((t, t + DAY_MS), agentid).values())
     least = min(scope_rows(agentid, day) for agentid, day, _, _ in store.event_counts())
-    with mock.patch.object(engine_mod, "BROADCAST_ROWS", least - 1):
+    with mock.patch.object(engine_mod, "BROADCAST_ROWS", least - 1), \
+            mock.patch.object(engine_mod, "INTERPRET_ROWS", least - 1):
         yield
 
 
@@ -80,6 +82,7 @@ def partitioned_rows(engine, text: str) -> pd.DataFrame:
     with partitioned(engine):
         got = engine.execute(text)
         assert "Coalesce" not in executed_plan(got)
+        assert got.sparkSession is engine.spark
         return got.toPandas()
 
 

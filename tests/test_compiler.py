@@ -99,7 +99,8 @@ class TestJoinAndProject:
     @staticmethod
     def run(tiny, text, order, broadcast=frozenset()):
         a = ana(text)
-        out = project_return(join_multievent(tiny, a, order, broadcast), a)
+        out = project_return(join_multievent(tiny.sparkSession, tiny, a, order,
+                                            broadcast), a)
         return out.collect()
 
     def test_two_pattern_join(self, tiny):

@@ -4,14 +4,16 @@ single-pattern and anomaly queries alike, and with threads sharing one
 engine. Planning runs no Spark job, even on a freshly written store, and
 the store computes its event count table once per ``write``. A query over
 a small scope runs in one partition: no shuffle, and one job for a single
-pattern."""
+pattern; over a smaller one it runs interpreted: no Java is compiled, and
+the caller's session keeps its settings."""
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core import engine as engine_mod
-from repro.core.engine import AIQLEngine
+from repro.core.engine import INTERPRETED_CONF, AIQLEngine
 from repro.monitor.storage import EventStore
+from repro.session import janino_compiles
 from repro.workload.queries import QUERIES, query_by_name
 from tests.conftest import executed_plan
 
@@ -179,6 +181,79 @@ class TestOnePartition:
         plan = eng.plan(text)
         q = plan.analysis.query
         want = sum(eng.store.scope_counts(q.time_range, q.agentid).values())
-        assert (plan.scope_rows, plan.one_partition) == (want, True)
+        assert (plan.scope_rows, plan.one_partition, plan.interpreted) == \
+            (want, True, True)
+        monkeypatch.setattr(engine_mod, "INTERPRET_ROWS", plan.scope_rows - 1)
+        replanned = eng.plan(text)
+        assert (replanned.one_partition, replanned.interpreted) == (True, False)
         monkeypatch.setattr(engine_mod, "BROADCAST_ROWS", plan.scope_rows - 1)
         assert eng.plan(text).one_partition is False
+
+
+HOST = 'agentid = 1\n' + AT
+
+
+class TestInterpreted:
+    """A scope of at most ``INTERPRET_ROWS`` events runs in the engine's
+    interpreting session. Each query below has a shape no other test runs
+    (an integer literal is written into the generated Java), so compiling
+    it would compile new classes."""
+
+    FRESH = {
+        "multievent": (HOST + 'proc p[pid != {n}] start proc q as e1\n'
+                              'proc q read file f as e2\n'
+                              'with e1 before e2\nreturn distinct p, f'),
+        "anomaly": (HOST + 'window = 1 min, step = 10 sec\n'
+                           'proc p write ip i as e\n'
+                           'return p, sum(e.amount) as amt\ngroup by p\n'
+                           'having amt > {n} and amt > amt[1]'),
+    }
+
+    @pytest.mark.parametrize("kind, n", [("multievent", 7_000_001),
+                                          ("anomaly", 7_000_011)])
+    def test_small_scope_compiles_no_java(self, spark, engine, monkeypatch,
+                                          kind, n):
+        """The setting ``factoryMode=NO_CODEGEN`` is internal to Spark: a
+        version that ignored it would compile here and fail this test.
+
+        One class has no interpreted form in Spark 4.1: the row joiner of a
+        partial aggregate (``GenerateUnsafeRowJoiner``). It is keyed by the
+        group and buffer schemas, not by the query, so the anomaly query
+        compiles it at most once, and the same query with another literal
+        compiles nothing."""
+        def run(k: int):
+            df = engine.execute(self.FRESH[kind].format(n=k))
+            df.collect()
+            return df
+
+        q = engine.analyze(self.FRESH[kind].format(n=n)).query
+        assert sum(engine.store.scope_counts(q.time_range, q.agentid).values()) \
+            <= engine_mod.INTERPRET_ROWS
+        before = janino_compiles(spark)
+        run(n)
+        assert janino_compiles(spark) - before <= (kind == "anomaly")
+        before = janino_compiles(spark)
+        assert "*(" not in executed_plan(run(n + 1))
+        assert janino_compiles(spark) == before
+        # The same query, compiled: the whole-stage marker, and new classes.
+        monkeypatch.setattr(engine_mod, "INTERPRET_ROWS", 0)
+        assert "*(" in executed_plan(run(n + 2))
+        assert janino_compiles(spark) > before
+
+    def test_caller_settings_unchanged(self, spark, engine):
+        before = {k: engine.spark.conf.get(k) for k in INTERPRETED_CONF}
+        for q in (SINGLE_PATTERN, TWO_PATTERN, ANOMALY):
+            engine.execute(q).collect()
+        assert {k: engine.spark.conf.get(k) for k in INTERPRETED_CONF} == before
+        assert engine.spark.conf.get("spark.sql.codegen.wholeStage") == "true"
+
+    def test_interpreting_session_has_the_callers_settings(self, spark, store):
+        key = "spark.sql.shuffle.partitions"
+        old = spark.conf.get(key)
+        spark.conf.set(key, "7")
+        try:
+            child = AIQLEngine(spark, store).interpreting
+        finally:
+            spark.conf.set(key, old)
+        assert child.conf.get(key) == "7"
+        assert {k: child.conf.get(k) for k in INTERPRETED_CONF} == INTERPRETED_CONF

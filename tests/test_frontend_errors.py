@@ -71,6 +71,13 @@ from tests.conftest import assert_agree, reference
     ('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
      'proc p write ip i as e\nreturn p, count() as n\ngroup by p\n'
      'having n = "x"', AIQLSemanticError),
+    # a having that is no truth value, which DuckDB casts to one and Spark
+    # rejects, and a truth value used as a number
+    *[('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+       'proc p write ip i as e\nreturn p, count() as n\ngroup by p\n'
+       f'having {cond}', AIQLSemanticError)
+      for cond in ("n", "n and 1", "not n", "n > 1 or n",
+                   "(n > 1) + 1", "(n > 1) = (n < 5)", "-(n > 1) < 0")],
 ], ids=["keyword-as-entity", "op-object-mismatch", "bad-time-literal",
         "subject-is-object", "aggregate-without-attribute",
         "aggregate-alias-s_name", "aggregate-alias-s_uid", "aggregate-alias-wid",
@@ -80,11 +87,27 @@ from tests.conftest import assert_agree, reference
         "number-against-string", "fractional-agentid",
         "word-against-pid", "word-against-agentid", "wildcard-against-pid",
         "out-of-range-against-pid",
-        "word-against-avg", "word-against-count"])
+        "word-against-avg", "word-against-count",
+        "having-number", "having-number-and", "having-not-number",
+        "having-or-number", "having-truth-plus", "having-truth-compared",
+        "having-truth-negated"])
 def test_error_class(text, cls):
     with pytest.raises(ValueError) as info:
         analyze(text)
     assert type(info.value) is cls
+
+
+@pytest.mark.parametrize("cond, message", [
+    ("n", "having needs a truth value"),
+    ("n and 1", "'and' needs truth values"),
+    ("not n", "'not' needs truth values"),
+    ("(n > 1) * 2 > 1", "truth value cannot be an operand of '*'"),
+])
+def test_having_truth_value_message(cond, message):
+    with pytest.raises(AIQLSemanticError, match=re.escape(message)):
+        analyze('(at "04/10/2018")\nwindow = 1 min, step = 10 sec\n'
+                'proc p write ip i as e\nreturn p, count() as n\ngroup by p\n'
+                f'having {cond}')
 
 
 @pytest.mark.parametrize("text", [
@@ -169,8 +192,10 @@ def test_sql_keyword_names_rejected_or_run(spark, tiny_engine, tiny, tiny_pdf):
                 continue
             for backend, build in (
                     ("engine", lambda: tiny_engine.execute(text)),
-                    ("driving", lambda: join_multievent(tiny, ana, [w, "e2"], {"e2"})),
-                    ("hint", lambda: join_multievent(tiny, ana, ["e2", w], {w})),
+                    ("driving", lambda: join_multievent(spark, tiny, ana,
+                                                        [w, "e2"], {"e2"})),
+                    ("hint", lambda: join_multievent(spark, tiny, ana,
+                                                     ["e2", w], {w})),
                     ("spark", lambda: run_baseline(spark, text, tiny)),
                     ("duckdb", lambda: con.execute("EXPLAIN " + oracle_sql(text)))):
                 try:

@@ -44,8 +44,12 @@ class TestTableA:
         rows = measure(spark, tiny_store, runs=1, queries=QUERIES[:3])
         assert len(rows) == 3
         assert all(r.aiql_s > 0 and r.sql_s > 0 for r in rows)
+        # Every scope of this 5-host store is below INTERPRET_ROWS.
+        assert all(r.interpreted for r in rows)
+        assert all(r.aiql_compiles >= 0 and r.sql_compiles >= 0 for r in rows)
         text = render(rows, 1234)
         assert "TOTAL" in text and "speedup" in text and "21x" in text
+        assert "interp" in text and "jit AIQL" in text
 
     def test_speedup_property(self):
         from jobs.table_a_performance import Row

@@ -1,17 +1,19 @@
 """Workload integration tests: all 20 investigation queries. Each query's
 DuckDB reference (its synthesized SQL over the SF 0.001 trace, computed
-once in ``workload_want``) must equal the engine's rows on both plan
-branches (and, in ``test_baseline``, the Spark baseline's) and recover
-the injected attack ground truth."""
+once in ``workload_want``) must equal the engine's rows on every plan
+branch (interpreted, one partition compiled, and partitioned) and, in
+``test_baseline``, the Spark baseline's, and recover the injected attack
+ground truth."""
 import re
 
 import pandas as pd
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core.baseline import oracle_sql
 from repro.oracle import assert_same_rows
 from repro.workload.queries import QUERIES, query_by_name
-from tests.conftest import partitioned, partitioned_rows
+from tests.conftest import executed_plan, partitioned, partitioned_rows
 
 NAMES = [q.name for q in QUERIES]
 
@@ -70,6 +72,18 @@ class TestInvestigation:
         """The same, with each query's scope read as a larger one is."""
         got = partitioned_rows(engine, query_by_name(name).aiql)
         assert_same_rows(got, workload_want[name])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_oracle_equivalence_compiled(self, engine, workload_want,
+                                         monkeypatch, name):
+        """The same, with each query's scope read as one partition but
+        compiled, as a scope above ``INTERPRET_ROWS`` and at most
+        ``BROADCAST_ROWS`` is."""
+        monkeypatch.setattr(engine_mod, "INTERPRET_ROWS", 0)
+        got = engine.execute(query_by_name(name).aiql)
+        assert got.sparkSession is engine.spark
+        assert "Coalesce 1" in executed_plan(got)
+        assert_same_rows(got.toPandas(), workload_want[name])
 
     @pytest.mark.parametrize("name", NAMES)
     def test_ground_truth_recovered(self, workload_want, name):
